@@ -314,7 +314,11 @@ impl Session {
                 frontend_hits += 1;
                 continue;
             }
-            let resp = self.server.fetch_region(&self.canvas, layer, &vp)?;
+            // at the pinned view: a publish since the sync must not hand
+            // this session rows newer than `pinned_snapshot()` names
+            let resp = self
+                .server
+                .fetch_region_at(&*self.snapshot, &self.canvas, layer, &vp)?;
             fetch.merge(&resp.metrics);
             self.cache.put_region(layer, resp.rect, resp.rows);
         }
@@ -337,7 +341,11 @@ impl Session {
     /// truncated), then re-pin to the new head. The next lookups then miss
     /// and refetch fresh data.
     fn sync_data_version(&mut self) {
-        let head = self.server.snapshot();
+        let obs = self.server.obs();
+        let head = {
+            let _pin = obs.span("snapshot.pin");
+            self.server.snapshot()
+        };
         // vector compare: on a sharded backend a mutation bumps only the
         // entries of the shards it dirtied, so a pin is current iff every
         // shard's entry matches (single node: the one-entry scalar case)

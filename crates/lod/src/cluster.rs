@@ -83,30 +83,14 @@ impl RetentionStatus {
     }
 }
 
-/// Phase 2: greedy retention under the spacing bound. Returns the level's
-/// clusters sorted by representative id (a canonical storage order).
-pub fn retain_with_spacing(
-    cells: FxHashMap<Cell, Cluster>,
-    scale: f64,
-    spacing: f64,
-) -> Vec<Cluster> {
-    let (_, outs) = retain_with_spacing_tracked(cells, scale, spacing);
-    let mut retained: Vec<Cluster> = outs.into_values().collect();
-    retained.sort_unstable_by_key(|c| c.rep_id);
-    retained
-}
-
-/// Phase 2 with full bookkeeping: besides the post-absorption output
-/// clusters (keyed by the retained candidate's cell), report every cell's
-/// [`RetentionStatus`]. This pair is exactly the per-level state that
-/// incremental maintenance ([`crate::maintain`]) repairs locally — a
-/// candidate's decision depends only on retained marks in its 3×3 cell
-/// neighborhood, so the statuses localize the recomputation after a
-/// mutation.
-///
-/// Identical to [`retain_with_spacing`] in every float operation (same
-/// processing order, same absorb sequence), so tracked and untracked
-/// builds produce bit-identical level tables.
+/// Phase 2: greedy retention under the spacing bound. Returns every
+/// cell's [`RetentionStatus`] and the post-absorption output clusters
+/// (keyed by the retained candidate's cell; sort them by representative
+/// id for the canonical level-table order). This pair is exactly the
+/// per-level state that incremental maintenance ([`crate::maintain`])
+/// repairs locally — a candidate's decision depends only on retained
+/// marks in its 3×3 cell neighborhood, so the statuses localize the
+/// recomputation after a mutation.
 pub fn retain_with_spacing_tracked(
     cells: FxHashMap<Cell, Cluster>,
     scale: f64,
@@ -150,6 +134,14 @@ mod tests {
 
     fn pt(id: i64, x: f64, y: f64, m: f64) -> Cluster {
         Cluster::from_point(id, x, y, &[m])
+    }
+
+    /// The retained clusters in canonical (rep-id) order.
+    fn retain_sorted(cells: FxHashMap<Cell, Cluster>, scale: f64, spacing: f64) -> Vec<Cluster> {
+        let (_, outs) = retain_with_spacing_tracked(cells, scale, spacing);
+        let mut retained: Vec<Cluster> = outs.into_values().collect();
+        retained.sort_unstable_by_key(|c| c.rep_id);
+        retained
     }
 
     #[test]
@@ -203,7 +195,7 @@ mod tests {
     fn retention_enforces_spacing_and_conserves_counts() {
         // a dense line of points, 1 unit apart; spacing 3 keeps every third
         let cells = aggregate_into_cells((0..30).map(|i| pt(i, i as f64, 0.0, 1.0)), 1.0, 3.0);
-        let retained = retain_with_spacing(cells, 1.0, 3.0);
+        let retained = retain_sorted(cells, 1.0, 3.0);
         let total: u64 = retained.iter().map(|c| c.count).sum();
         assert_eq!(total, 30, "every point is in exactly one cluster");
         for a in 0..retained.len() {
@@ -228,7 +220,7 @@ mod tests {
                 1.0,
                 5.0,
             );
-            retain_with_spacing(cells, 1.0, 5.0)
+            retain_sorted(cells, 1.0, 5.0)
         };
         let a = mk(false);
         let b = mk(true);

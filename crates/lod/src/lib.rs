@@ -8,35 +8,31 @@
 //!
 //! * [`LodConfig`] names a raw point table, a pyramid height, a zoom
 //!   factor and a minimum mark spacing;
-//! * [`build_pyramid`] materializes the **cluster pyramid** — level 0 is
-//!   the raw data, each coarser level is produced by deterministic,
-//!   grid-hashed greedy clustering with the Kyrix-S non-overlap guarantee
-//!   (no two retained marks closer than the spacing bound), each cluster
-//!   carrying `cnt`, `sum_*`/`avg_*` of the configured measures and its
-//!   members' bounding box;
-//! * [`build_pyramid_sharded`] runs the same construction over a
-//!   [`kyrix_parallel::ParallelDatabase`]: shards cluster their local
-//!   points into grid cells in parallel and the coordinator merges
-//!   boundary cells, producing the same level tables as a single node;
-//! * [`build_pyramid_on_shards`] keeps the level tables *on* the shards
-//!   instead — each level row on the shard whose grid cell owns it, with
-//!   a [`kyrix_parallel::QueryRouter`] over every level table — the
-//!   layout `kyrix-server`'s scatter-gather backend serves directly, and
-//!   the only sharded build that stays maintainable
-//!   ([`LodPyramid::insert_points_sharded`] /
-//!   [`LodPyramid::delete_points_sharded`] route each delta to its
-//!   owning shard and merge boundary cells at the coordinator);
+//! * [`build_pyramid_on_shards`] materializes the **cluster pyramid** over
+//!   a raw table partitioned by a spatial grid — level 0 is the raw data,
+//!   each coarser level is produced by deterministic, grid-hashed greedy
+//!   clustering with the Kyrix-S non-overlap guarantee (no two retained
+//!   marks closer than the spacing bound), each cluster carrying `cnt`,
+//!   `sum_*`/`avg_*` of the configured measures and its members' bounding
+//!   box. Shards cluster their local points into grid cells in parallel,
+//!   the coordinator merges boundary cells, and each level row lands on
+//!   the shard whose grid cell owns it, with a
+//!   [`kyrix_parallel::QueryRouter`] over every level table — the layout
+//!   `kyrix-server`'s backend serves directly;
+//! * [`build_pyramid`] is the one-shard case: one database, a 1×1 grid;
 //! * [`lod_app`] emits the multi-canvas [`kyrix_core::AppSpec`] with
 //!   `geometric_semantic_zoom` jumps auto-wired between adjacent levels;
-//! * [`LodPyramid::insert_points`] / [`LodPyramid::delete_points`]
-//!   ([`maintain`]) mutate the raw table and fold the delta into every
-//!   level table **in place** — a local repair around the dirty grid
-//!   cells, bit-identical to a from-scratch rebuild.
+//! * [`LodPyramid::insert_points_sharded`] /
+//!   [`LodPyramid::delete_points_sharded`] ([`maintain`]) route each raw
+//!   delta to its owning shard and fold it into every level table **in
+//!   place** — a local repair around the dirty grid cells, bit-identical to
+//!   a from-scratch rebuild; [`LodPyramid::insert_points`] /
+//!   [`LodPyramid::delete_points`] are their one-database form.
 //!
 //! Every level table carries a point R-tree on its `(cx, cy)` columns, so
 //! the existing `kyrix-server` precompute paths (spatial design,
 //! separable skip) serve tiles and dynamic boxes at any zoom level
-//! unmodified. See `src/README.md` for pyramid anatomy, the sharded-build
+//! unmodified. See `src/README.md` for pyramid anatomy, the boundary-cell
 //! merge argument, and the maintenance/repair flow.
 //!
 //! Build a tiny pyramid, mutate it, and read a level back:
@@ -92,13 +88,10 @@ pub mod pyramid;
 pub use aggregate::Cluster;
 pub use app::{lod_app, lod_calibration_walk};
 pub use cluster::{
-    aggregate_into_cells, merge_cell_maps, retain_with_spacing, retain_with_spacing_tracked,
-    RetentionStatus,
+    aggregate_into_cells, merge_cell_maps, retain_with_spacing_tracked, RetentionStatus,
 };
 pub use config::LodConfig;
 pub use error::{LodError, Result};
 pub use grid::{cell_of, Cell, SpacingGrid};
 pub use maintain::{LevelMaintenance, MaintenanceReport, RawPoint, TupleId};
-pub use pyramid::{
-    build_pyramid, build_pyramid_on_shards, build_pyramid_sharded, LevelInfo, LodPyramid,
-};
+pub use pyramid::{build_pyramid, build_pyramid_on_shards, LevelInfo, LodPyramid};

@@ -8,7 +8,7 @@ use crate::config::LodConfig;
 use crate::error::{LodError, Result};
 use crate::grid::{cell_of, Cell};
 use crate::maintain::{LevelState, MaintainState};
-use kyrix_parallel::{ParallelDatabase, Partitioner, QueryRouter};
+use kyrix_parallel::{Partitioner, QueryRouter};
 use kyrix_storage::fxhash::FxHashMap;
 use kyrix_storage::{DataType, Database, IndexKind, Row, Schema, SpatialCols, Value};
 use std::time::{Duration, Instant};
@@ -39,16 +39,13 @@ pub struct LodPyramid {
     /// Wall-clock spent clustering and writing level tables.
     pub build_time: Duration,
     /// Incremental-maintenance state (per-level candidate cell maps and
-    /// retention statuses). Present after a single-node [`build_pyramid`]
-    /// and after [`build_pyramid_on_shards`] (whose level tables live on
-    /// the shards but whose repair state is coordinator-side); `None`
-    /// after [`build_pyramid_sharded`], which evacuates the level tables
-    /// to a coordinator database — see [`LodPyramid::insert_points`].
+    /// retention statuses), kept coordinator-side whatever the shard
+    /// count. `None` only after a maintenance batch failed midway — see
+    /// [`LodPyramid::insert_points`].
     pub(crate) maintenance: Option<MaintainState>,
-    /// Routing of the raw table and every level table over serving
-    /// shards. Present only after [`build_pyramid_on_shards`]; selects
-    /// between the single-database and sharded maintenance entry points.
-    pub(crate) sharding: Option<QueryRouter>,
+    /// Routing of the raw table and every level table over the shards
+    /// the pyramid was built on (one shard for [`build_pyramid`]).
+    pub(crate) router: QueryRouter,
     /// Telemetry registry maintenance batches record `pyramid.repair`
     /// spans into (attached with [`LodPyramid::set_observability`]).
     pub(crate) observability: Option<std::sync::Arc<kyrix_obs::Registry>>,
@@ -85,20 +82,19 @@ impl LodPyramid {
     }
 
     /// Whether this pyramid carries the state incremental maintenance
-    /// needs (true after [`build_pyramid`] and
-    /// [`build_pyramid_on_shards`], false after
-    /// [`build_pyramid_sharded`]).
+    /// needs: true after every build, false once a maintenance batch
+    /// failed after it started mutating.
     pub fn can_maintain(&self) -> bool {
         self.maintenance.is_some()
     }
 
-    /// The statement router of a shard-resident pyramid: the raw table
-    /// under the build partitioner plus one per-level `(cx, cy)` grid.
-    /// Hand a clone to `kyrix-server`'s sharded launch so viewport
-    /// queries over any level probe only the shards whose cells
-    /// intersect. `None` for pyramids whose tables live in one database.
+    /// The statement router of the pyramid: the raw table under the build
+    /// partitioner plus one per-level `(cx, cy)` grid. Hand a clone to
+    /// `kyrix-server`'s sharded launch so viewport queries over any level
+    /// probe only the shards whose cells intersect. Always `Some`: a
+    /// [`build_pyramid`] pyramid routes everything to its one shard.
     pub fn shard_router(&self) -> Option<&QueryRouter> {
-        self.sharding.as_ref()
+        Some(&self.router)
     }
 }
 
@@ -185,175 +181,6 @@ pub(crate) fn level_row(scale: f64, c: &Cluster) -> Row {
         Value::Float(b.max_y),
     ]);
     Row::new(values)
-}
-
-/// Write one clustered level as a table with a point spatial index on
-/// `(cx, cy)` — the shape the server's separable fast path serves directly.
-fn write_level(
-    db: &mut Database,
-    cfg: &LodConfig,
-    level: usize,
-    clusters: &[Cluster],
-) -> Result<()> {
-    let table = cfg.level_table(level);
-    if db.has_table(&table) {
-        db.drop_table(&table)?;
-    }
-    db.create_table(&table, level_schema(cfg))?;
-    let scale = cfg.level_scale(level);
-    for c in clusters {
-        db.insert(&table, level_row(scale, c))?;
-    }
-    db.create_index(
-        &table,
-        format!("{table}_cxcy"),
-        IndexKind::Spatial(SpatialCols::Point {
-            x: "cx".into(),
-            y: "cy".into(),
-        }),
-    )?;
-    Ok(())
-}
-
-/// Cluster levels `1..=cfg.levels` starting from the merged level-1 cell
-/// maps, then write every level table into `db`. When `id_cells` is
-/// supplied (single-node builds), the per-level candidate maps and
-/// retention statuses are kept on the pyramid as maintenance state.
-fn finish_build(
-    db: &mut Database,
-    cfg: &LodConfig,
-    raw_rows: usize,
-    level1_maps: Vec<FxHashMap<Cell, Cluster>>,
-    id_cells: Option<FxHashMap<i64, Cell>>,
-    start: Instant,
-) -> Result<LodPyramid> {
-    let mut levels = vec![LevelInfo {
-        level: 0,
-        table: cfg.level_table(0),
-        rows: raw_rows,
-        width: cfg.width,
-        height: cfg.height,
-    }];
-    let tracking = id_cells.is_some();
-    let mut states: Vec<LevelState> = Vec::new();
-    let mut prev_sorted: Vec<Cluster> = Vec::new();
-    let mut cands = merge_cell_maps(level1_maps);
-    for k in 1..=cfg.levels {
-        let scale = cfg.level_scale(k);
-        if k > 1 {
-            cands = aggregate_into_cells(std::mem::take(&mut prev_sorted), scale, cfg.spacing);
-        }
-        // maintenance state (candidate maps + retention statuses) is only
-        // captured for single-node builds; sharded builds skip the map
-        // clone entirely — their raw data stays on the shards, so the
-        // pyramid cannot be maintained in place anyway
-        let sorted = if tracking {
-            let (status, outs) = retain_with_spacing_tracked(cands.clone(), scale, cfg.spacing);
-            let state = LevelState {
-                cands: std::mem::take(&mut cands),
-                status,
-                outs,
-            };
-            let sorted = state.sorted_outputs();
-            states.push(state);
-            sorted
-        } else {
-            crate::cluster::retain_with_spacing(std::mem::take(&mut cands), scale, cfg.spacing)
-        };
-        write_level(db, cfg, k, &sorted)?;
-        let (w, h) = cfg.level_size(k);
-        levels.push(LevelInfo {
-            level: k,
-            table: cfg.level_table(k),
-            rows: sorted.len(),
-            width: w,
-            height: h,
-        });
-        prev_sorted = sorted;
-    }
-    Ok(LodPyramid {
-        config: cfg.clone(),
-        levels,
-        build_time: start.elapsed(),
-        maintenance: id_cells.map(|ids| MaintainState {
-            levels: states,
-            id_cells: ids,
-        }),
-        sharding: None,
-        observability: None,
-    })
-}
-
-/// Build the full pyramid on one node: cluster the raw table level by
-/// level and materialize each level as a spatially-indexed table in `db`.
-pub fn build_pyramid(db: &mut Database, cfg: &LodConfig) -> Result<LodPyramid> {
-    cfg.validate()?;
-    let start = Instant::now();
-    let layout = raw_layout(db, cfg)?;
-    let points = extract_points(db, cfg, &layout)?;
-    let raw_rows = points.len();
-    let scale1 = cfg.level_scale(1);
-    let mut id_cells: FxHashMap<i64, Cell> = FxHashMap::default();
-    for p in &points {
-        id_cells.insert(
-            p.rep_id,
-            cell_of(p.rep_x / scale1, p.rep_y / scale1, cfg.spacing),
-        );
-    }
-    if id_cells.len() != raw_rows {
-        return Err(LodError::Schema(format!(
-            "table `{}` has duplicate values in id column `{}`",
-            cfg.table, cfg.id_column
-        )));
-    }
-    let cells = aggregate_into_cells(points, scale1, cfg.spacing);
-    finish_build(db, cfg, raw_rows, vec![cells], Some(id_cells), start)
-}
-
-/// Build the pyramid from a sharded raw table: every shard aggregates its
-/// local points into level-1 grid cells in parallel (local clustering);
-/// the coordinator merges cells split across shard boundaries, runs the
-/// retention passes, and writes the level tables into `out`.
-///
-/// Produces the same level tables as [`build_pyramid`] on an unsharded
-/// copy of the data: cell aggregation is merge-order independent (exactly
-/// so for counts, bounding boxes and representatives; up to
-/// floating-point sum association for measure sums, which is exact for
-/// integer-valued measures).
-pub fn build_pyramid_sharded(
-    pdb: &ParallelDatabase,
-    cfg: &LodConfig,
-    out: &mut Database,
-) -> Result<LodPyramid> {
-    cfg.validate()?;
-    let start = Instant::now();
-    let layout = pdb.with_shard(0, |db| raw_layout(db, cfg))?;
-    let scale = cfg.level_scale(1);
-    let shard_maps: Vec<Result<FxHashMap<Cell, Cluster>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..pdb.shard_count())
-            .map(|i| {
-                let layout = &layout;
-                s.spawn(move || {
-                    pdb.with_shard(i, |db| {
-                        let points = extract_points(db, cfg, layout)?;
-                        Ok(aggregate_into_cells(points, scale, cfg.spacing))
-                    })
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard clustering panicked"))
-            .collect()
-    });
-    let mut maps = Vec::with_capacity(shard_maps.len());
-    let mut raw_rows = 0usize;
-    for m in shard_maps {
-        let m = m?;
-        raw_rows += m.values().map(|c| c.count as usize).sum::<usize>();
-        maps.push(m);
-    }
-    finish_build(out, cfg, raw_rows, maps, None, start)
 }
 
 /// The statement router of a shard-resident pyramid: the raw table under
@@ -446,6 +273,22 @@ fn write_level_sharded(
     Ok(())
 }
 
+/// Build the full pyramid on one node: cluster the raw table level by
+/// level and materialize each level as a spatially-indexed table in `db`.
+/// This is the one-shard case of [`build_pyramid_on_shards`], over a 1×1
+/// grid on the configured position columns and extent.
+pub fn build_pyramid(db: &mut Database, cfg: &LodConfig) -> Result<LodPyramid> {
+    let whole = Partitioner::SpatialGrid {
+        x_column: cfg.x_column.clone(),
+        y_column: cfg.y_column.clone(),
+        cols: 1,
+        rows: 1,
+        width: cfg.width,
+        height: cfg.height,
+    };
+    build_pyramid_on_shards(std::slice::from_mut(db), &whole, cfg)
+}
+
 /// Build the pyramid *and its level tables* directly on serving shards:
 /// every shard aggregates its local raw points into level-1 grid cells in
 /// parallel, the coordinator merges cells split across shard boundaries
@@ -454,20 +297,19 @@ fn write_level_sharded(
 /// position — the layout `kyrix-server`'s sharded backend serves with
 /// per-shard R-tree probes.
 ///
-/// Unlike [`build_pyramid_sharded`] (which evacuates the level tables to
-/// a coordinator database and cannot maintain them), the returned pyramid
-/// carries maintenance state plus a router ([`LodPyramid::shard_router`])
-/// over the raw table and every level table; mutate it in place with
-/// [`LodPyramid::insert_points_sharded`] /
+/// The returned pyramid carries maintenance state plus a router
+/// ([`LodPyramid::shard_router`]) over the raw table and every level
+/// table; mutate it in place with [`LodPyramid::insert_points_sharded`] /
 /// [`LodPyramid::delete_points_sharded`].
 ///
 /// `partitioner` must be a [`Partitioner::SpatialGrid`] over the
 /// configured raw x/y columns whose natural shard count is
 /// `shards.len()`. Level-table contents are identical to a single-node
-/// [`build_pyramid`] over the union of the shards, with the sharded
-/// build's usual caveat: counts, bounding boxes and representatives
-/// match bitwise; float measure sums match when measure values are
-/// integer-valued.
+/// [`build_pyramid`] over the union of the shards: cell aggregation is
+/// merge-order independent, so counts, bounding boxes and
+/// representatives match bitwise, and float measure sums match when
+/// measure values are integer-valued (up to float association
+/// otherwise).
 pub fn build_pyramid_on_shards(
     shards: &mut [Database],
     partitioner: &Partitioner,
@@ -479,36 +321,38 @@ pub fn build_pyramid_on_shards(
     let layout = raw_layout(&shards[0], cfg)?;
     let scale1 = cfg.level_scale(1);
     // local clustering fan-out, plus the per-point cell index maintenance
-    // needs (the same secondary index build_pyramid keeps)
+    // needs
     type ShardOut = Result<(FxHashMap<Cell, Cluster>, FxHashMap<i64, Cell>)>;
+    let cluster_shard = |db: &Database| -> ShardOut {
+        let points = extract_points(db, cfg, &layout)?;
+        let mut ids = FxHashMap::default();
+        for p in &points {
+            ids.insert(
+                p.rep_id,
+                cell_of(p.rep_x / scale1, p.rep_y / scale1, cfg.spacing),
+            );
+        }
+        if ids.len() != points.len() {
+            return Err(LodError::Schema(format!(
+                "table `{}` has duplicate values in id column `{}`",
+                cfg.table, cfg.id_column
+            )));
+        }
+        Ok((aggregate_into_cells(points, scale1, cfg.spacing), ids))
+    };
+    // the calling thread clusters shard 0 while workers take the rest
     let per_shard: Vec<ShardOut> = std::thread::scope(|s| {
-        let handles: Vec<_> = shards
+        let handles: Vec<_> = shards[1..]
             .iter()
-            .map(|db| {
-                let layout = &layout;
-                s.spawn(move || {
-                    let points = extract_points(db, cfg, layout)?;
-                    let mut ids = FxHashMap::default();
-                    for p in &points {
-                        ids.insert(
-                            p.rep_id,
-                            cell_of(p.rep_x / scale1, p.rep_y / scale1, cfg.spacing),
-                        );
-                    }
-                    if ids.len() != points.len() {
-                        return Err(LodError::Schema(format!(
-                            "table `{}` has duplicate values in id column `{}`",
-                            cfg.table, cfg.id_column
-                        )));
-                    }
-                    Ok((aggregate_into_cells(points, scale1, cfg.spacing), ids))
-                })
-            })
+            .map(|db| s.spawn(|| cluster_shard(db)))
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard clustering panicked"))
-            .collect()
+        let mut out = vec![cluster_shard(&shards[0])];
+        out.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("shard clustering panicked")),
+        );
+        out
     });
     let mut maps = Vec::with_capacity(per_shard.len());
     let mut id_cells: FxHashMap<i64, Cell> = FxHashMap::default();
@@ -516,7 +360,11 @@ pub fn build_pyramid_on_shards(
     for r in per_shard {
         let (map, ids) = r?;
         raw_rows += ids.len();
-        id_cells.extend(ids);
+        if id_cells.is_empty() {
+            id_cells = ids;
+        } else {
+            id_cells.extend(ids);
+        }
         maps.push(map);
     }
     if id_cells.len() != raw_rows {
@@ -525,9 +373,8 @@ pub fn build_pyramid_on_shards(
             cfg.table, cfg.id_column
         )));
     }
-    // coordinator: merge boundary cells, then run the level loop exactly
-    // as the tracked single-node build does, writing each level row to
-    // the shard that owns it
+    // coordinator: merge boundary cells, then run the level loop, writing
+    // each level row to the shard that owns it
     let mut levels = vec![LevelInfo {
         level: 0,
         table: cfg.level_table(0),
@@ -570,7 +417,7 @@ pub fn build_pyramid_on_shards(
             levels: states,
             id_cells,
         }),
-        sharding: Some(router),
+        router,
         observability: None,
     })
 }
@@ -578,7 +425,6 @@ pub fn build_pyramid_on_shards(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kyrix_parallel::Partitioner;
 
     fn raw_schema() -> Schema {
         Schema::empty()
@@ -633,41 +479,40 @@ mod tests {
         }
     }
 
+    /// A strip layout (4×1) splits the canvas only along x, so every
+    /// level-1 cell on a vertical seam merges partial aggregates from two
+    /// shards; the level tables must still equal the single-node build.
     #[test]
     fn sharded_build_matches_single_node() {
         let rows = grid_rows(1024);
         let mut single = Database::new();
         single.create_table("pts", raw_schema()).unwrap();
         for r in rows.clone() {
-            single.insert("pts", r.clone()).unwrap();
+            single.insert("pts", r).unwrap();
         }
         let p1 = build_pyramid(&mut single, &cfg()).unwrap();
 
-        let pdb = ParallelDatabase::new(
-            4,
-            "pts",
-            Partitioner::SpatialGrid {
-                x_column: "x".into(),
-                y_column: "y".into(),
-                cols: 2,
-                rows: 2,
-                width: 256.0,
-                height: 256.0,
-            },
-        )
-        .unwrap();
-        pdb.create_table("pts", raw_schema()).unwrap();
-        pdb.load("pts", rows).unwrap();
-        let mut out = Database::new();
-        let p2 = build_pyramid_sharded(&pdb, &cfg(), &mut out).unwrap();
+        let part = Partitioner::SpatialGrid {
+            x_column: "x".into(),
+            y_column: "y".into(),
+            cols: 4,
+            rows: 1,
+            width: 256.0,
+            height: 256.0,
+        };
+        let mut shards = shard_set(rows, &part);
+        let p2 = build_pyramid_on_shards(&mut shards, &part, &cfg()).unwrap();
 
         assert_eq!(p1.levels, p2.levels);
         for k in 1..=2 {
-            let t = p1.levels[k].table.clone();
-            let q = format!("SELECT * FROM {t} ORDER BY id");
-            let a = single.query(&q, &[]).unwrap();
-            let b = out.query(&q, &[]).unwrap();
-            assert_eq!(a.rows, b.rows, "level {k} tables differ");
+            let q = format!("SELECT * FROM {} ORDER BY id", p1.levels[k].table);
+            let want = single.query(&q, &[]).unwrap().rows;
+            let mut got: Vec<Row> = shards
+                .iter()
+                .flat_map(|s| s.query(&q, &[]).unwrap().rows.clone())
+                .collect();
+            got.sort_unstable_by_key(|r| r.get(0).as_i64().unwrap());
+            assert_eq!(want, got, "level {k} tables differ");
         }
     }
 
@@ -682,11 +527,11 @@ mod tests {
         }
     }
 
-    /// Four shard databases holding `rows` routed by `part`, raw spatial
-    /// index included.
+    /// One shard database per grid cell of `part`, holding `rows` routed
+    /// by it, raw spatial index included.
     fn shard_set(rows: Vec<Row>, part: &Partitioner) -> Vec<Database> {
         let schema = raw_schema();
-        let mut shards: Vec<Database> = (0..4)
+        let mut shards: Vec<Database> = (0..part.shard_count(0))
             .map(|_| {
                 let mut db = Database::new();
                 db.create_table("pts", schema.clone()).unwrap();
@@ -720,6 +565,7 @@ mod tests {
             single.insert("pts", r).unwrap();
         }
         let p1 = build_pyramid(&mut single, &cfg()).unwrap();
+        assert_eq!(p1.shard_router().map(|r| r.shard_count()), Some(1));
 
         let part = grid_partitioner();
         let mut shards = shard_set(rows, &part);

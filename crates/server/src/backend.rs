@@ -1,19 +1,21 @@
-//! Backend-agnostic serving: the snapshot-view and serving-backend traits.
+//! The serving backend: the snapshot-view trait and the one backend that
+//! publishes it.
 //!
 //! Every fetch primitive in [`crate::fetch`] resolves against a
-//! [`SnapshotView`] — an immutable, versioned read surface — instead of a
-//! concrete [`DatabaseSnapshot`]. Two implementations exist:
+//! [`SnapshotView`] — an immutable, versioned read surface. Its one
+//! implementation, [`ShardedSnapshot`], holds N shard databases plus a
+//! [`QueryRouter`]; a single-node server is the N = 1 case. A statement
+//! the router sends to exactly one shard runs there as
+//! [`Database::query`] would run it — routing guarantees the other shards
+//! hold no rows for it. A statement that needs several shards is
+//! decomposed by [`ShardPlan`], executed on each routed shard in parallel
+//! (`shard.scatter` span), and recombined by the coordinator merge
+//! (`shard.merge` span) — the same machinery the sharded LoD build uses
+//! for boundary cells. Either way every shard statement reports to the
+//! storage query observer (`sql.execute`, `sql.rows_scanned`) and to the
+//! per-shard `fetch.shard{i}` histogram family.
 //!
-//! * [`DatabaseSnapshot`]: today's single-node head, unchanged;
-//! * [`ShardedSnapshot`]: N shard databases plus a
-//!   [`QueryRouter`]. A query is decomposed by
-//!   [`ShardPlan`], routed to the shards whose grid
-//!   cells its predicate touches, executed in parallel (`shard.scatter`
-//!   span, per-shard `fetch.shard{i}` histogram family), and recombined by
-//!   the coordinator merge (`shard.merge` span) — the same machinery the
-//!   sharded LoD build uses for boundary cells.
-//!
-//! Above the view sits the [`ServingBackend`]: the mutable head pointer
+//! Above the view sits the `ShardedBackend`: the mutable head pointer
 //! the server publishes through. It pins the current view, hands out
 //! copy-on-write shard clones for a mutation, and publishes the successor
 //! atomically. Versions are **per-shard vectors**: a mutation whose dirty
@@ -21,12 +23,17 @@
 //! comparing vectors knows exactly how stale its pin is, while the scalar
 //! [`SnapshotView::version`] (the max entry) keeps the single counter the
 //! caches and mutation log key on.
+//!
+//! Cheapness comes from the storage layer: [`Database`] clones share
+//! tables behind `Arc` and deep-copy a table only when a mutation first
+//! touches it (copy-on-write at table granularity), so publishing a
+//! successor pays for the mutated tables only, and old views stay alive
+//! until the last reader drops its `Arc`.
 
-use crate::snapshot::DatabaseSnapshot;
 use kyrix_obs::{Gauge, HistogramFamily, Registry};
 use kyrix_parallel::merge::ShardPlan;
 use kyrix_parallel::QueryRouter;
-use kyrix_storage::sql::{execute_select, parse};
+use kyrix_storage::sql::{parse_statement, Statement};
 use kyrix_storage::{Database, QueryResult, Rect, Schema, StorageError, Value};
 use parking_lot::RwLock;
 use std::sync::Arc;
@@ -38,8 +45,8 @@ use std::time::Instant;
 /// many shards execute it — sharding is invisible above this trait (cache
 /// keys gain nothing from it).
 pub trait SnapshotView: Send + Sync {
-    /// Per-shard published versions (single node: one entry). Entry `i`
-    /// is the data version of the last mutation that touched shard `i`.
+    /// Per-shard published versions (one entry per shard). Entry `i` is
+    /// the data version of the last mutation that touched shard `i`.
     fn versions(&self) -> &[u64];
 
     /// The scalar data version: the newest per-shard entry.
@@ -47,7 +54,7 @@ pub trait SnapshotView: Send + Sync {
         self.versions().iter().copied().max().unwrap_or(0)
     }
 
-    /// How many shards back this view (1 for single-node).
+    /// How many shards back this view (1 for a single-node server).
     fn shard_count(&self) -> usize {
         self.versions().len()
     }
@@ -88,35 +95,9 @@ fn local_spatial_count(
     Ok(Some(n))
 }
 
-impl SnapshotView for DatabaseSnapshot {
-    fn versions(&self) -> &[u64] {
-        self.version_slice()
-    }
-
-    fn query(&self, sql: &str, params: &[Value]) -> kyrix_storage::Result<QueryResult> {
-        self.database().query(sql, params)
-    }
-
-    fn table_schema(&self, table: &str) -> kyrix_storage::Result<Schema> {
-        Ok(self.database().table(table)?.schema.clone())
-    }
-
-    fn has_table(&self, table: &str) -> bool {
-        self.database().has_table(table)
-    }
-
-    fn table_len(&self, table: &str) -> kyrix_storage::Result<usize> {
-        Ok(self.database().table(table)?.len())
-    }
-
-    fn spatial_count(&self, table: &str, rect: &Rect) -> kyrix_storage::Result<Option<usize>> {
-        local_spatial_count(self.database(), table, rect)
-    }
-}
-
 /// Telemetry hooks a [`ShardedSnapshot`] records into (optional so pinned
-/// calibration views stay out of the serving histograms, mirroring the
-/// single-node launch installing its query observer after tuning).
+/// calibration views stay out of the serving histograms, as the launch
+/// installs its query observer only after tuning).
 #[derive(Clone)]
 pub(crate) struct ShardTelemetry {
     pub(crate) obs: Arc<Registry>,
@@ -124,7 +105,8 @@ pub(crate) struct ShardTelemetry {
     pub(crate) family: HistogramFamily,
 }
 
-/// An immutable view over N shard databases, queried by scatter-gather.
+/// An immutable view over N shard databases (one for a single-node
+/// server), queried by routing and, across shards, scatter-gather.
 ///
 /// Rows of partitioned tables live on exactly one shard, so concatenating
 /// routed per-shard results (in shard-index order, via the coordinator
@@ -134,7 +116,8 @@ pub struct ShardedSnapshot {
     versions: Vec<u64>,
     router: Arc<QueryRouter>,
     telemetry: Option<ShardTelemetry>,
-    /// Outstanding-snapshot gauge (see [`DatabaseSnapshot`]); decremented
+    /// Outstanding-snapshot gauge (the server's `snapshot.pinned`:
+    /// published head + older views still held by readers); decremented
     /// on drop.
     tracked: Option<Arc<Gauge>>,
 }
@@ -192,38 +175,32 @@ impl SnapshotView for ShardedSnapshot {
     }
 
     fn query(&self, sql: &str, params: &[Value]) -> kyrix_storage::Result<QueryResult> {
-        let stmt = parse(sql)?;
-        let plan = ShardPlan::new(&stmt)?;
-        let targets = self.router.targets(&stmt, params);
-        let shard_results: Vec<QueryResult> = {
-            let _scatter = self.telemetry.as_ref().map(|t| t.obs.span("shard.scatter"));
-            if targets.len() == 1 {
-                // routed to one shard: run inline, no fan-out overhead —
-                // a fully routed sharded fetch costs what a single node
-                // with 1/N of the rows would pay
-                let i = targets[0];
-                vec![self.run_shard(i, &plan, params)?]
-            } else {
-                let plan = &plan;
-                let results: Vec<kyrix_storage::Result<QueryResult>> = std::thread::scope(|s| {
-                    let handles: Vec<_> = targets
-                        .iter()
-                        .map(|&i| s.spawn(move || self.run_shard(i, plan, params)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("shard query panicked"))
-                        .collect()
-                });
-                let mut ok = Vec::with_capacity(results.len());
-                for r in results {
-                    ok.push(r?);
-                }
-                ok
-            }
+        let stmt = parse_statement(sql)?;
+        let (Statement::Select(select) | Statement::Explain(select)) = &stmt else {
+            return Err(StorageError::PlanError(
+                "snapshot views are read-only: SELECT or EXPLAIN only".to_string(),
+            ));
         };
+        let targets = self.router.targets(select, params);
+        if let [i] = targets[..] {
+            // routed to one shard: the other shards hold no rows for this
+            // statement, so it runs there as-is — no rewrite, no merge
+            return self.run_shard(i, &stmt, sql, params);
+        }
+        if let Statement::Explain(_) = stmt {
+            // every routed shard plans the statement; keep all plan rows
+            let mut results = self.scatter(&targets, &stmt, sql, params)?.into_iter();
+            let mut out = results
+                .next()
+                .ok_or_else(|| StorageError::PlanError("statement routes to no shard".into()))?;
+            out.rows.extend(results.flat_map(|r| r.rows));
+            return Ok(out);
+        }
+        let plan = ShardPlan::new(select)?;
+        let shard_stmt = Statement::Select(plan.shard_stmt.clone());
+        let results = self.scatter(&targets, &shard_stmt, sql, params)?;
         let _merge = self.telemetry.as_ref().map(|t| t.obs.span("shard.merge"));
-        plan.merge(shard_results, params)
+        plan.merge(results, params)
     }
 
     fn table_schema(&self, table: &str) -> kyrix_storage::Result<Schema> {
@@ -263,88 +240,51 @@ impl SnapshotView for ShardedSnapshot {
 }
 
 impl ShardedSnapshot {
+    /// Run one shard's statement through the storage entry point, so the
+    /// query observer sees it, and record its latency per shard.
     fn run_shard(
         &self,
         i: usize,
-        plan: &ShardPlan,
+        stmt: &Statement,
+        sql: &str,
         params: &[Value],
     ) -> kyrix_storage::Result<QueryResult> {
         let start = Instant::now();
-        let result = execute_select(&self.shards[i], &plan.shard_stmt, params);
+        let result = self.shards[i].query_statement(stmt, sql, params);
         if let Some(t) = &self.telemetry {
             t.family.record_duration(&i.to_string(), start.elapsed());
         }
         result
     }
-}
 
-/// The mutable head pointer: pins the published [`SnapshotView`], hands
-/// out copy-on-write shard clones to a mutation, and swaps in the
-/// successor atomically. Exactly one publisher runs at a time (the
-/// server's writer mutex); readers never block.
-pub trait ServingBackend: Send + Sync {
-    /// Pin the currently published view.
-    fn head(&self) -> Arc<dyn SnapshotView>;
-
-    /// How many shards this backend serves from.
-    fn shard_count(&self) -> usize;
-
-    /// Copy-on-write clones of every shard, for a mutation to apply to
-    /// (single node: one entry).
-    fn begin_write(&self) -> Vec<Database>;
-
-    /// Publish mutated shards as the head at `version`. `shard_dirty[i]`
-    /// says whether shard `i` actually changed — untouched shards keep
-    /// their previous version-vector entry.
-    fn publish(&self, shards: Vec<Database>, version: u64, shard_dirty: &[bool]);
-
-    /// Route a table-space rect to the shards owning intersecting rows
-    /// (`None`: unroutable, treat every shard as affected).
-    fn route_rect(&self, table: &str, rect: &Rect) -> Option<Vec<usize>>;
-}
-
-/// Today's backend: one database, one snapshot head.
-pub(crate) struct SingleNodeBackend {
-    head: RwLock<Arc<DatabaseSnapshot>>,
-    gauge: Arc<Gauge>,
-}
-
-impl SingleNodeBackend {
-    pub(crate) fn new(db: Database, gauge: Arc<Gauge>) -> Self {
-        let head = DatabaseSnapshot::new(db, 0).tracked(Arc::clone(&gauge));
-        SingleNodeBackend {
-            head: RwLock::new(Arc::new(head)),
-            gauge,
-        }
+    /// Run `stmt` on every target shard in parallel, results in target
+    /// order.
+    fn scatter(
+        &self,
+        targets: &[usize],
+        stmt: &Statement,
+        sql: &str,
+        params: &[Value],
+    ) -> kyrix_storage::Result<Vec<QueryResult>> {
+        let _scatter = self.telemetry.as_ref().map(|t| t.obs.span("shard.scatter"));
+        std::thread::scope(|s| {
+            let handles: Vec<_> = targets
+                .iter()
+                .map(|&i| s.spawn(move || self.run_shard(i, stmt, sql, params)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("shard query panicked"))
+                .collect()
+        })
     }
 }
 
-impl ServingBackend for SingleNodeBackend {
-    fn head(&self) -> Arc<dyn SnapshotView> {
-        Arc::clone(&*self.head.read()) as Arc<dyn SnapshotView>
-    }
-
-    fn shard_count(&self) -> usize {
-        1
-    }
-
-    fn begin_write(&self) -> Vec<Database> {
-        vec![self.head.read().database().clone()]
-    }
-
-    fn publish(&self, mut shards: Vec<Database>, version: u64, _shard_dirty: &[bool]) {
-        let db = shards.pop().expect("single-node publish needs one shard");
-        let next = DatabaseSnapshot::new(db, version).tracked(Arc::clone(&self.gauge));
-        *self.head.write() = Arc::new(next);
-    }
-
-    fn route_rect(&self, _table: &str, _rect: &Rect) -> Option<Vec<usize>> {
-        Some(vec![0])
-    }
-}
-
-/// The sharded backend: N shard databases behind one published
-/// [`ShardedSnapshot`] head.
+/// The serving backend: the mutable head pointer over N shard databases
+/// (one for a single-node server). It pins the published
+/// [`ShardedSnapshot`], hands out copy-on-write shard clones to a
+/// mutation, and swaps in the successor atomically. Exactly one publisher
+/// runs at a time (the server's writer mutex); readers never block.
 pub(crate) struct ShardedBackend {
     head: RwLock<Arc<ShardedSnapshot>>,
     router: Arc<QueryRouter>,
@@ -379,20 +319,26 @@ impl ShardedBackend {
     }
 }
 
-impl ServingBackend for ShardedBackend {
-    fn head(&self) -> Arc<dyn SnapshotView> {
+impl ShardedBackend {
+    /// Pin the currently published view.
+    pub(crate) fn head(&self) -> Arc<dyn SnapshotView> {
         Arc::clone(&*self.head.read()) as Arc<dyn SnapshotView>
     }
 
-    fn shard_count(&self) -> usize {
+    /// How many shards this backend serves from.
+    pub(crate) fn shard_count(&self) -> usize {
         self.router.shard_count()
     }
 
-    fn begin_write(&self) -> Vec<Database> {
+    /// Copy-on-write clones of every shard, for a mutation to apply to.
+    pub(crate) fn begin_write(&self) -> Vec<Database> {
         self.head.read().clone_shards()
     }
 
-    fn publish(&self, shards: Vec<Database>, version: u64, shard_dirty: &[bool]) {
+    /// Publish mutated shards as the head at `version`. `shard_dirty[i]`
+    /// says whether shard `i` actually changed — untouched shards keep
+    /// their previous version-vector entry.
+    pub(crate) fn publish(&self, shards: Vec<Database>, version: u64, shard_dirty: &[bool]) {
         let prev = self.head.read().versions().to_vec();
         let versions: Vec<u64> = prev
             .iter()
@@ -405,7 +351,9 @@ impl ServingBackend for ShardedBackend {
         *self.head.write() = Arc::new(next);
     }
 
-    fn route_rect(&self, table: &str, rect: &Rect) -> Option<Vec<usize>> {
+    /// Route a table-space rect to the shards owning intersecting rows
+    /// (`None`: unroutable, treat every shard as affected).
+    pub(crate) fn route_rect(&self, table: &str, rect: &Rect) -> Option<Vec<usize>> {
         self.router.route_rect(table, rect)
     }
 }

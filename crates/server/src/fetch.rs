@@ -34,10 +34,9 @@ fn raw_query_rect(
 /// Valid for spatial-index-backed stores (paper: dynamic boxes always use
 /// the spatial design; spatial static tiles also route through this).
 ///
-/// Backend-agnostic: `db` may be a single-node [`crate::DatabaseSnapshot`]
-/// or a [`crate::ShardedSnapshot`] — on the latter, the `bbox && rect`
-/// predicate routes the query to the shards the rectangle intersects and
-/// the coordinator merge concatenates their rows.
+/// On a [`crate::ShardedSnapshot`] the `bbox && rect` predicate routes
+/// the query to the shards the rectangle intersects and the coordinator
+/// merge concatenates their rows (one shard: the query runs there as-is).
 pub fn fetch_rect(
     db: &dyn SnapshotView,
     store: &LayerStore,

@@ -441,6 +441,47 @@ pub fn precompute_layer(
     ))
 }
 
+/// Precompute one layer on the shards a server launches over. Materialized
+/// layer tables and tuple–tile mapping tables live in one database — there
+/// are no per-shard copies — so with more than one shard a non-static layer
+/// must take the §3.2 separable path (`SELECT *` transform, separable
+/// placement, per-shard point spatial index on the placement columns)
+/// under a spatial plan; anything else is refused before it runs. One
+/// shard precomputes exactly like [`precompute_layer`].
+pub(crate) fn precompute_on_shards(
+    shards: &mut [Database],
+    layer: &CompiledLayer,
+    plan: &FetchPlan,
+    app_name: &str,
+) -> Result<(LayerStore, PrecomputeReport)> {
+    let mapping = matches!(
+        plan,
+        FetchPlan::StaticTiles {
+            design: TileDesign::TupleTileMapping,
+            ..
+        }
+    );
+    if shards.len() > 1
+        && !layer.is_static
+        && (mapping || separable_store(&shards[0], layer).is_none())
+    {
+        return Err(ServerError::Config(format!(
+            "layer {} of canvas `{}` needs a {} in one database, but the backend has {} \
+             shards; serve it from one shard, or make the layer separable and use a \
+             spatial plan",
+            layer.layer_index,
+            layer.canvas_id,
+            if mapping {
+                "tuple–tile mapping table"
+            } else {
+                "materialized layer table"
+            },
+            shards.len()
+        )));
+    }
+    precompute_layer(&mut shards[0], layer, plan, app_name)
+}
+
 /// Estimate a layer's row count *before* precomputation, for row-based
 /// plan policies. Cheap for most shapes: a plain single-table scan is the
 /// table's length (exact, zero rows read), an ungrouped aggregate is

@@ -2,10 +2,7 @@
 //! stores produced by precomputation, the backend caches, and the
 //! prefetcher; answers tile and box requests from the frontend.
 
-use crate::backend::{
-    ServingBackend, ShardTelemetry, ShardedBackend, ShardedSnapshot, SingleNodeBackend,
-    SnapshotView,
-};
+use crate::backend::{ShardTelemetry, ShardedBackend, SnapshotView};
 use crate::cache::CacheStats;
 use crate::cache::LruCache;
 use crate::cost::CostModel;
@@ -16,8 +13,7 @@ use crate::fetch::{compute_fetch_box, count_rect, fetch_tile};
 use crate::metrics::FetchMetrics;
 use crate::policy::PlanPolicy;
 use crate::precompute::{
-    estimate_layer_rows, precompute_layer, separable_store, FetchPlan, LayerStore,
-    PrecomputeReport, TileDesign,
+    estimate_layer_rows, precompute_on_shards, FetchPlan, LayerStore, PrecomputeReport,
 };
 use crate::prefetch::{
     neighbor_rects, predict_viewports, rank_by_similarity, RegionSignature, SemanticTracker,
@@ -183,9 +179,9 @@ struct Inner {
     /// clone) and resolves against it with no lock held;
     /// [`KyrixServer::mutate_raw`] builds the successor shard set off to
     /// the side and publishes it through the backend. Readers therefore
-    /// never block behind a mutation. Single-node and sharded backends
-    /// are indistinguishable above this field.
-    backend: Box<dyn ServingBackend>,
+    /// never block behind a mutation. A single-node server is a
+    /// one-shard backend.
+    backend: ShardedBackend,
     /// Serializes mutators ([`KyrixServer::mutate_raw`]). Never held by
     /// any fetch path.
     writer: Mutex<()>,
@@ -569,8 +565,9 @@ pub struct KyrixServer {
 
 impl KyrixServer {
     /// Resolve the plan policy per `(canvas, layer)`, precompute every
-    /// layer under its resolved plan, and start the server. Returns the
-    /// per-layer precomputation reports.
+    /// layer under its resolved plan, and start the server over one
+    /// database — the one-shard case of [`KyrixServer::launch_sharded`].
+    /// Returns the per-layer precomputation reports.
     ///
     /// A [`PlanPolicy::Measured`] policy is resolved by the tuner
     /// ([`crate::tuner`]): every candidate plan is precomputed side by
@@ -579,12 +576,58 @@ impl KyrixServer {
     /// [`KyrixServer::tuning_report`].
     pub fn launch(
         app: CompiledApp,
-        mut db: Database,
+        db: Database,
         config: ServerConfig,
     ) -> Result<(Self, Vec<PrecomputeReport>)> {
+        Self::launch_on(app, vec![db], QueryRouter::new(1)?, config)
+    }
+
+    /// Launch over `shards` — one [`Database`] per shard, partitioned per
+    /// `router` — serving every fetch by routing: a request goes to the
+    /// shards its rectangle intersects, each probes its own R-tree, and
+    /// when several answer the coordinator merge recombines the rows.
+    /// Everything above the backend (caches, prefetch, sessions, tuning)
+    /// is the same as for [`KyrixServer::launch`], which is this launch
+    /// over one shard.
+    ///
+    /// With more than one shard, every non-static layer must take the §3.2
+    /// separable fast path (`SELECT *` transform, separable placement,
+    /// per-shard point spatial index on the placement columns) under a
+    /// spatial plan: materialized layer stores and tuple–tile mapping
+    /// tables exist in one database only, so both are refused at launch.
+    ///
+    /// A [`PlanPolicy::Measured`] policy replays its calibration trace
+    /// against a pinned view of the shards, so tuning measures exactly the
+    /// serve it will pick plans for.
+    pub fn launch_sharded(
+        app: CompiledApp,
+        shards: Vec<Database>,
+        router: QueryRouter,
+        config: ServerConfig,
+    ) -> Result<Self> {
+        Ok(Self::launch_on(app, shards, router, config)?.0)
+    }
+
+    /// The launch body behind [`KyrixServer::launch`] and
+    /// [`KyrixServer::launch_sharded`].
+    fn launch_on(
+        app: CompiledApp,
+        mut shards: Vec<Database>,
+        router: QueryRouter,
+        config: ServerConfig,
+    ) -> Result<(Self, Vec<PrecomputeReport>)> {
+        if router.shard_count() != shards.len() {
+            return Err(ServerError::Config(format!(
+                "router implies {} shards, got {}",
+                router.shard_count(),
+                shards.len()
+            )));
+        }
+        let router = Arc::new(router);
         let (stores, plans, reports, tuning) = match &config.policy {
             PlanPolicy::Measured { candidates, trace } => {
-                let tuned = tuner::tune(&mut db, &app, candidates, trace, &config.cost)?;
+                let tuned =
+                    tuner::tune(&mut shards, &router, &app, candidates, trace, &config.cost)?;
                 (tuned.stores, tuned.plans, tuned.reports, Some(tuned.tuning))
             }
             policy => {
@@ -594,12 +637,18 @@ impl KyrixServer {
                 for (ci, canvas) in app.canvases.iter().enumerate() {
                     for (li, layer) in canvas.layers.iter().enumerate() {
                         let estimated_rows = if policy.needs_row_estimate() {
-                            estimate_layer_rows(&db, layer)?
+                            // partitioned rows live on exactly one shard,
+                            // so the global estimate is the per-shard sum
+                            shards
+                                .iter()
+                                .map(|s| estimate_layer_rows(s, layer))
+                                .sum::<Result<usize>>()?
                         } else {
                             0
                         };
                         let plan = policy.resolve(layer, estimated_rows);
-                        let (store, report) = precompute_layer(&mut db, layer, &plan, &app.name)?;
+                        let (store, report) =
+                            precompute_on_shards(&mut shards, layer, &plan, &app.name)?;
                         stores.insert((ci as u32, li as u32), store);
                         plans.insert((ci as u32, li as u32), plan);
                         reports.push(report);
@@ -610,10 +659,10 @@ impl KyrixServer {
         };
         // Telemetry: installed after tuning so the calibration replay's
         // queries never pollute the serving-path histograms. The observer
-        // closure survives every copy-on-write clone of the database, so
+        // closure survives every copy-on-write clone of a shard, so
         // successor snapshots keep reporting `sql.execute` spans.
         let obs = Arc::new(Registry::new());
-        {
+        for db in &mut shards {
             let reg = Arc::clone(&obs);
             let scanned = reg.counter("sql.rows_scanned");
             db.set_query_observer(Some(Arc::new(move |_sql, dur, stats| {
@@ -622,7 +671,11 @@ impl KyrixServer {
             })));
         }
         obs.gauge("snapshot.head_version").set(0);
-        let backend = Box::new(SingleNodeBackend::new(db, obs.gauge("snapshot.pinned")));
+        let telemetry = ShardTelemetry {
+            obs: Arc::clone(&obs),
+            family: obs.histogram_family("fetch.shard"),
+        };
+        let backend = ShardedBackend::new(shards, router, telemetry, obs.gauge("snapshot.pinned"))?;
         let region_family = obs.histogram_family("fetch.region.layer");
         let inner = Arc::new(Inner {
             app,
@@ -660,163 +713,6 @@ impl KyrixServer {
             },
             reports,
         ))
-    }
-
-    /// Launch over `shards` — one [`Database`] per shard, partitioned per
-    /// `router` — serving every fetch by scatter-gather: a request routes
-    /// to the shards its rectangle intersects, each probes its own R-tree,
-    /// and the coordinator merge recombines the rows. Everything above the
-    /// backend (caches, prefetch, sessions, tuning) is unchanged — shards
-    /// are invisible above the [`SnapshotView`] trait.
-    ///
-    /// Sharded serving fetches straight off the partitioned tables, so
-    /// every non-static layer must take the §3.2 separable fast path
-    /// (`SELECT *` transform, separable placement, per-shard point spatial
-    /// index on the placement columns) — materialized layer stores would
-    /// need a per-shard precompute pass, and tuple–tile mapping plans have
-    /// no per-shard mapping tables; both are refused at launch.
-    ///
-    /// A [`PlanPolicy::Measured`] policy replays its calibration trace
-    /// against a pinned sharded view, so tuning measures exactly the
-    /// scatter-gather serve it will pick plans for.
-    pub fn launch_sharded(
-        app: CompiledApp,
-        mut shards: Vec<Database>,
-        router: QueryRouter,
-        config: ServerConfig,
-    ) -> Result<Self> {
-        if router.shard_count() != shards.len() {
-            return Err(ServerError::Config(format!(
-                "router implies {} shards, got {}",
-                router.shard_count(),
-                shards.len()
-            )));
-        }
-        // stores first: plan-independent on this path (separable stores
-        // serve both spatial static tiles and dynamic boxes)
-        let mut stores = FxHashMap::default();
-        for (ci, canvas) in app.canvases.iter().enumerate() {
-            for (li, layer) in canvas.layers.iter().enumerate() {
-                let store = if layer.is_static {
-                    LayerStore::Static
-                } else {
-                    separable_store(&shards[0], layer).ok_or_else(|| {
-                        ServerError::Config(format!(
-                            "layer {li} of canvas `{}` is not separable; sharded serving \
-                             fetches straight off partitioned raw tables — relaunch \
-                             single-node or make the layer separable",
-                            canvas.id
-                        ))
-                    })?
-                };
-                stores.insert((ci as u32, li as u32), store);
-            }
-        }
-        let (plans, tuning) = match &config.policy {
-            PlanPolicy::Measured { candidates, trace } => {
-                // pin a calibration view with no telemetry so the replay
-                // stays out of the serving histograms
-                let view = ShardedSnapshot::new(
-                    shards.clone(),
-                    vec![0; shards.len()],
-                    Arc::new(router.clone()),
-                );
-                let tuned =
-                    tuner::tune_sharded(&view, &app, &stores, candidates, trace, &config.cost)?;
-                (tuned.plans, Some(tuned.tuning))
-            }
-            policy => {
-                let mut plans = FxHashMap::default();
-                for (ci, canvas) in app.canvases.iter().enumerate() {
-                    for (li, layer) in canvas.layers.iter().enumerate() {
-                        let estimated_rows = if policy.needs_row_estimate() && !layer.is_static {
-                            // partitioned rows live on exactly one shard,
-                            // so the global estimate is the per-shard sum
-                            shards
-                                .iter()
-                                .map(|s| estimate_layer_rows(s, layer))
-                                .sum::<Result<usize>>()?
-                        } else {
-                            0
-                        };
-                        plans.insert(
-                            (ci as u32, li as u32),
-                            policy.resolve(layer, estimated_rows),
-                        );
-                    }
-                }
-                (plans, None)
-            }
-        };
-        if let Some(((ci, li), _)) = plans.iter().find(|(_, p)| {
-            matches!(
-                p,
-                FetchPlan::StaticTiles {
-                    design: TileDesign::TupleTileMapping,
-                    ..
-                }
-            )
-        }) {
-            return Err(ServerError::Config(format!(
-                "layer {li} of canvas {ci} resolved to a tuple–tile mapping plan; \
-                 sharded backends have no per-shard mapping tables — use the \
-                 spatial tile design"
-            )));
-        }
-        let obs = Arc::new(Registry::new());
-        for db in &mut shards {
-            let reg = Arc::clone(&obs);
-            let scanned = reg.counter("sql.rows_scanned");
-            db.set_query_observer(Some(Arc::new(move |_sql, dur, stats| {
-                reg.record_external_span("sql.execute", dur);
-                scanned.add(stats.rows_scanned);
-            })));
-        }
-        obs.gauge("snapshot.head_version").set(0);
-        let telemetry = ShardTelemetry {
-            obs: Arc::clone(&obs),
-            family: obs.histogram_family("fetch.shard"),
-        };
-        let backend = Box::new(ShardedBackend::new(
-            shards,
-            Arc::new(router),
-            telemetry,
-            obs.gauge("snapshot.pinned"),
-        )?);
-        let region_family = obs.histogram_family("fetch.region.layer");
-        let inner = Arc::new(Inner {
-            app,
-            backend,
-            writer: Mutex::new(()),
-            stores,
-            plans,
-            cost: config.cost,
-            tile_cache: Mutex::new(LruCache::new(config.backend_cache_rows)),
-            box_caches: Mutex::new(FxHashMap::default()),
-            box_cache_entries: config.box_cache_entries,
-            totals: Mutex::new(FetchMetrics::default()),
-            layer_totals: Mutex::new(FxHashMap::default()),
-            prefetch_totals: Mutex::new(FetchMetrics::default()),
-            semantic: Mutex::new(FxHashMap::default()),
-            mutations: Mutex::new(MutationLog {
-                version: 0,
-                entries: VecDeque::new(),
-            }),
-            obs,
-            region_family,
-            layer_regions: Mutex::new(FxHashMap::default()),
-        });
-        let prefetcher = if config.prefetch {
-            Some(Prefetcher::spawn(inner.clone()))
-        } else {
-            None
-        };
-        Ok(KyrixServer {
-            inner,
-            prefetcher,
-            config,
-            tuning,
-        })
     }
 
     /// How many shards the backend serves from (1 for a
@@ -904,13 +800,29 @@ impl KyrixServer {
     /// when the viewport spans many tiles and a mutation publishes midway,
     /// every row of the response comes from the same data version.
     pub fn fetch_region(&self, canvas: &str, layer: usize, rect: &Rect) -> Result<BoxResponse> {
+        let snap = {
+            let _pin = self.inner.obs.span("snapshot.pin");
+            self.inner.snapshot()
+        };
+        self.fetch_region_at(&*snap, canvas, layer, rect)
+    }
+
+    /// [`KyrixServer::fetch_region`] at a view the caller pinned earlier
+    /// (a [`KyrixServer::snapshot`]), e.g. the one a session's cached
+    /// regions were fetched under, so its rows stay consistent with that
+    /// pin even if a mutation published since. The backend caches serve
+    /// and store only while the view is still the published head, so a
+    /// fetch at an older view never caches its rows.
+    pub fn fetch_region_at(
+        &self,
+        snap: &dyn SnapshotView,
+        canvas: &str,
+        layer: usize,
+        rect: &Rect,
+    ) -> Result<BoxResponse> {
         let obs = Arc::clone(&self.inner.obs);
         let _region = obs.span("fetch.region");
         let started = Instant::now();
-        let snap = {
-            let _pin = obs.span("snapshot.pin");
-            self.inner.snapshot()
-        };
         let ci = self.inner.canvas_idx(canvas)?;
         let plan = {
             let _resolve = obs.span("plan.resolve");
@@ -919,7 +831,7 @@ impl KyrixServer {
         let out = match plan {
             FetchPlan::DynamicBox { .. } => self
                 .inner
-                .fetch_box_cached(&*snap, canvas, layer, rect, false),
+                .fetch_box_cached(snap, canvas, layer, rect, false),
             FetchPlan::StaticTiles { size, .. } => {
                 let store = self.inner.store(canvas, layer)?;
                 let layout = store.layout();
@@ -940,7 +852,7 @@ impl KyrixServer {
                 for tile in tiling.covering(rect)? {
                     let resp = self
                         .inner
-                        .fetch_tile_cached(&*snap, canvas, layer, tile, false)?;
+                        .fetch_tile_cached(snap, canvas, layer, tile, false)?;
                     let _merge = obs.span("merge");
                     match layout {
                         None => rows.extend(resp.rows.iter().cloned()),
@@ -1284,9 +1196,9 @@ impl KyrixServer {
         self.inner.box_caches.lock().clear();
     }
 
-    /// The latest published [`SnapshotView`] (single-node: a
-    /// [`crate::DatabaseSnapshot`]; sharded: a
-    /// [`crate::ShardedSnapshot`]). The returned `Arc` is an owned,
+    /// The latest published [`SnapshotView`] (a
+    /// [`crate::ShardedSnapshot`] over the backend's shards). The returned
+    /// `Arc` is an owned,
     /// immutable view: hold it as long as you like, concurrent mutations
     /// publish new views without touching yours. Its
     /// [`SnapshotView::versions`] vector says, per shard, which data

@@ -11,12 +11,15 @@
 //! [`FetchMetrics`], scores them with [`FetchMetrics::modeled_ms`] under
 //! the server's [`CostModel`], and resolves the cheapest plan per layer.
 //!
-//! Candidate plans are precomputed *side by side* on the same database:
+//! Candidate plans are precomputed *side by side* on the same shards:
 //! layer-table materialization is idempotent and each plan's index
 //! structures (R-tree / tuple–tile mapping tables) are additive, so
-//! measuring a candidate never invalidates another. Replay uses the
-//! cold-cache serving protocol ([`crate::fetch::fetch_plan_cold`]), the
-//! same §3.3 protocol the paper's figures measure.
+//! measuring a candidate never invalidates another. Each candidate is
+//! replayed against a pinned [`ShardedSnapshot`] of the shards — the read
+//! surface the launched server serves from, scatter-gather included —
+//! under the cold-cache serving protocol
+//! ([`crate::fetch::fetch_plan_cold`]), the same §3.3 protocol the paper's
+//! figures measure.
 //!
 //! The winning assignment is exposed through
 //! [`crate::KyrixServer::tuning_report`] as a [`TuningReport`], which can
@@ -24,17 +27,18 @@
 //! ([`TuningReport::frozen_policy`]) so later launches skip the
 //! calibration replay.
 
-use crate::backend::SnapshotView;
+use crate::backend::{ShardedSnapshot, SnapshotView};
 use crate::cost::CostModel;
 use crate::error::{Result, ServerError};
 use crate::fetch::fetch_plan_cold;
 use crate::metrics::FetchMetrics;
 use crate::policy::PlanPolicy;
-use crate::precompute::{precompute_layer, FetchPlan, LayerStore, PrecomputeReport};
-use crate::snapshot::DatabaseSnapshot;
+use crate::precompute::{precompute_on_shards, FetchPlan, LayerStore, PrecomputeReport};
 use kyrix_core::CompiledApp;
+use kyrix_parallel::QueryRouter;
 use kyrix_storage::fxhash::FxHashMap;
 use kyrix_storage::{Database, Rect};
+use std::sync::Arc;
 
 /// A representative sequence of `(canvas, viewport)` steps the tuner
 /// replays to cost candidate plans. Steps on canvases the app does not
@@ -200,9 +204,7 @@ impl TuningReport {
 
 /// Replay calibration steps against one `(store, plan)` pair and
 /// accumulate the cold-serve metrics (the tuner's measurement inner loop).
-/// Reads go through a pinned [`SnapshotView`] — a [`DatabaseSnapshot`] for
-/// a single-node launch, a sharded view for
-/// [`crate::KyrixServer::launch_sharded`] — the same read surface the
+/// Reads go through a pinned [`SnapshotView`], the same read surface the
 /// launched server serves from.
 pub fn measure_plan(
     snap: &dyn SnapshotView,
@@ -219,7 +221,7 @@ pub fn measure_plan(
     Ok(totals)
 }
 
-/// Everything `KyrixServer::launch` needs from a `Measured` resolution.
+/// Everything a launch needs from a `Measured` resolution.
 pub(crate) struct TunedLaunch {
     pub stores: FxHashMap<(u32, u32), LayerStore>,
     pub plans: FxHashMap<(u32, u32), FetchPlan>,
@@ -230,9 +232,11 @@ pub(crate) struct TunedLaunch {
 /// Resolve a `Measured` policy: precompute every candidate plan of every
 /// non-static layer side by side, measure each on the layer's calibration
 /// steps, and keep the cheapest. Static layers take the first candidate
-/// (their store is plan-independent).
+/// (their store is plan-independent). Candidates a multi-shard backend
+/// cannot serve are refused by [`precompute_on_shards`].
 pub(crate) fn tune(
-    db: &mut Database,
+    shards: &mut [Database],
+    router: &Arc<QueryRouter>,
     app: &CompiledApp,
     candidates: &[FetchPlan],
     trace: &CalibrationTrace,
@@ -255,7 +259,8 @@ pub(crate) fn tune(
         for (li, layer) in canvas.layers.iter().enumerate() {
             let key = (ci as u32, li as u32);
             if layer.is_static {
-                let (store, report) = precompute_layer(db, layer, &candidates[0], &app.name)?;
+                let (store, report) =
+                    precompute_on_shards(shards, layer, &candidates[0], &app.name)?;
                 out.stores.insert(key, store);
                 out.plans.insert(key, candidates[0]);
                 out.reports.push(report);
@@ -266,12 +271,16 @@ pub(crate) fn tune(
             let mut cand_stores: Vec<LayerStore> = Vec::with_capacity(candidates.len());
             let mut best: Option<(usize, PrecomputeReport)> = None;
             for plan in candidates {
-                let (store, report) = precompute_layer(db, layer, plan, &app.name)?;
-                // pin a snapshot per candidate: the COW clone is cheap and
+                let (store, report) = precompute_on_shards(shards, layer, plan, &app.name)?;
+                // pin a view per candidate: the COW clone is cheap and
                 // keeps the measurement isolated from the precomputation
-                // the next candidate runs against `db`
-                let snap = DatabaseSnapshot::pin(db);
-                let metrics = measure_plan(&snap, &store, plan, &bounds, &steps)?;
+                // the next candidate runs against the shards
+                let view = ShardedSnapshot::new(
+                    shards.to_vec(),
+                    vec![0; shards.len()],
+                    Arc::clone(router),
+                );
+                let metrics = measure_plan(&view, &store, plan, &bounds, &steps)?;
                 let modeled_ms = metrics.modeled_ms(cost);
                 // strict <: ties keep the earlier candidate (preference order)
                 let wins = match &best {
@@ -326,100 +335,10 @@ pub(crate) fn tune(
     losing_maps.dedup();
     for table in losing_maps {
         if !kept.contains(table.as_str()) {
-            db.drop_table(&table)?;
+            shards[0].drop_table(&table)?;
         }
     }
     Ok(out)
-}
-
-/// Everything `KyrixServer::launch_sharded` needs from a `Measured`
-/// resolution. Unlike [`TunedLaunch`] there are no per-candidate stores or
-/// precompute reports: sharded layers are separable, so the stores handed
-/// in are already plan-independent.
-pub(crate) struct TunedShardedLaunch {
-    pub plans: FxHashMap<(u32, u32), FetchPlan>,
-    pub tuning: TuningReport,
-}
-
-/// Resolve a `Measured` policy on a sharded backend. Stores are
-/// plan-independent there (separable layers serve both spatial static
-/// tiles and dynamic boxes straight off the partitioned raw tables), so no
-/// per-candidate precompute happens: every candidate is measured on the
-/// same pinned sharded `view` — the calibration replay pays exactly the
-/// scatter-gather cost the launched server will — and the cheapest wins
-/// under the same strict-< / preference-order rule as the single-node
-/// tuner. Because both tuners minimize the same modeled cost over the same
-/// trace, a sharded launch resolves the same per-`(canvas, layer)`
-/// assignment as a single-node launch whenever the shard fan-out does not
-/// change which plan is cheapest.
-pub(crate) fn tune_sharded(
-    view: &dyn SnapshotView,
-    app: &CompiledApp,
-    stores: &FxHashMap<(u32, u32), LayerStore>,
-    candidates: &[FetchPlan],
-    trace: &CalibrationTrace,
-    cost: &CostModel,
-) -> Result<TunedShardedLaunch> {
-    if candidates.is_empty() {
-        return Err(ServerError::Config(
-            "Measured policy needs at least one candidate plan".to_string(),
-        ));
-    }
-    if candidates.iter().any(|p| {
-        matches!(
-            p,
-            FetchPlan::StaticTiles {
-                design: crate::precompute::TileDesign::TupleTileMapping,
-                ..
-            }
-        )
-    }) {
-        return Err(ServerError::Config(
-            "tuple–tile mapping candidates cannot be measured on a sharded \
-             backend (no per-shard mapping tables)"
-                .to_string(),
-        ));
-    }
-    let mut plans = FxHashMap::default();
-    let mut tuning = TuningReport::default();
-    for (ci, canvas) in app.canvases.iter().enumerate() {
-        let bounds = canvas.bounds();
-        for (li, layer) in canvas.layers.iter().enumerate() {
-            let key = (ci as u32, li as u32);
-            if layer.is_static {
-                plans.insert(key, candidates[0]);
-                continue;
-            }
-            let store = stores.get(&key).ok_or_else(|| {
-                ServerError::Config(format!("no store for layer {li} of `{}`", canvas.id))
-            })?;
-            let steps = trace.steps_for(&canvas.id);
-            let mut costs: Vec<CandidateCost> = Vec::with_capacity(candidates.len());
-            let mut chosen = 0;
-            for plan in candidates {
-                let metrics = measure_plan(view, store, plan, &bounds, &steps)?;
-                let modeled_ms = metrics.modeled_ms(cost);
-                // strict <: ties keep the earlier candidate (preference order)
-                if !costs.is_empty() && modeled_ms < costs[chosen].modeled_ms {
-                    chosen = costs.len();
-                }
-                costs.push(CandidateCost {
-                    plan: *plan,
-                    metrics,
-                    modeled_ms,
-                });
-            }
-            plans.insert(key, costs[chosen].plan);
-            tuning.layers.push(LayerTuning {
-                canvas: canvas.id.clone(),
-                layer: li,
-                steps: steps.len(),
-                chosen,
-                candidates: costs,
-            });
-        }
-    }
-    Ok(TunedShardedLaunch { plans, tuning })
 }
 
 #[cfg(test)]

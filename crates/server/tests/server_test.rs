@@ -1168,6 +1168,42 @@ fn mutate_raw_invalidates_only_overlapping_boxes() {
     assert!(!row_ids(&near2.rows).contains(&1515));
 }
 
+/// A fetch at a view pinned before a mutation serves that view's rows and
+/// stores nothing in the tile or box caches (they hold head data only):
+/// the next fetch at the head misses, sees the mutation, and only then
+/// caches.
+#[test]
+fn fetch_at_an_old_pin_serves_its_rows_and_caches_nothing() {
+    let tiles = FetchPlan::StaticTiles {
+        size: 25.0,
+        design: TileDesign::SpatialIndex,
+    };
+    let boxes = FetchPlan::DynamicBox {
+        policy: BoxPolicy::Exact,
+    };
+    for plan in [tiles, boxes] {
+        let server = launch(grid_db(true), PlacementSpec::point("x", "y"), plan);
+        let vp = Rect::new(10.0, 10.0, 20.0, 20.0);
+        let pin = server.snapshot();
+        delete_dot(&server, 1515, 15.0, 15.0);
+        assert_ne!(pin.versions(), server.snapshot().versions());
+
+        let old = server.fetch_region_at(&*pin, "main", 0, &vp).unwrap();
+        assert!(row_ids(&old.rows).contains(&1515), "{plan:?}: pinned rows");
+        assert_eq!(old.metrics.cache_hits, 0);
+
+        let head = server.fetch_region("main", 0, &vp).unwrap();
+        assert_eq!(
+            head.metrics.cache_hits, 0,
+            "{plan:?}: the old-pin fetch cached nothing"
+        );
+        assert!(!row_ids(&head.rows).contains(&1515));
+        assert_eq!(head.rows.len(), old.rows.len() - 1);
+        let again = server.fetch_region("main", 0, &vp).unwrap();
+        assert!(again.metrics.cache_hits > 0, "{plan:?}: head fetches cache");
+    }
+}
+
 #[test]
 fn mutation_log_truncates_to_a_full_refetch_signal() {
     let server = launch(

@@ -148,14 +148,42 @@ impl Database {
     /// Parse + plan + execute a read-only statement (SELECT or EXPLAIN).
     pub fn query(&self, sql: &str, params: &[Value]) -> Result<QueryResult> {
         let start = self.observer.as_ref().map(|_| Instant::now());
-        let result = match parse_statement(sql)? {
-            Statement::Select(stmt) => execute_select(self, &stmt, params),
-            Statement::Explain(stmt) => explain_select(self, &stmt),
+        let stmt = parse_statement(sql)?;
+        self.observed(sql, start, self.read(&stmt, params))
+    }
+
+    /// Plan + execute an already-parsed read-only statement (SELECT or
+    /// EXPLAIN) the way [`Database::query`] runs `sql`, reporting it to the
+    /// query observer under `sql` — for callers that parsed the text
+    /// themselves, e.g. to route it across shards first.
+    pub fn query_statement(
+        &self,
+        stmt: &Statement,
+        sql: &str,
+        params: &[Value],
+    ) -> Result<QueryResult> {
+        let start = self.observer.as_ref().map(|_| Instant::now());
+        self.observed(sql, start, self.read(stmt, params))
+    }
+
+    fn read(&self, stmt: &Statement, params: &[Value]) -> Result<QueryResult> {
+        match stmt {
+            Statement::Select(stmt) => execute_select(self, stmt, params),
+            Statement::Explain(stmt) => explain_select(self, stmt),
             _ => Err(StorageError::PlanError(
                 "Database::query is read-only; use Database::run for INSERT/UPDATE/DELETE"
                     .to_string(),
             )),
-        };
+        }
+    }
+
+    /// Report a finished read to the query observer (timed from `start`).
+    fn observed(
+        &self,
+        sql: &str,
+        start: Option<Instant>,
+        result: Result<QueryResult>,
+    ) -> Result<QueryResult> {
         if let (Some(obs), Some(t0)) = (&self.observer, start) {
             let stats = result.as_ref().map(|r| r.stats).unwrap_or_default();
             obs(sql, t0.elapsed(), &stats);
@@ -365,11 +393,7 @@ impl Database {
     pub fn execute(&self, prepared: &Prepared, params: &[Value]) -> Result<QueryResult> {
         let start = self.observer.as_ref().map(|_| Instant::now());
         let result = execute_select(self, &prepared.stmt, params);
-        if let (Some(obs), Some(t0)) = (&self.observer, start) {
-            let stats = result.as_ref().map(|r| r.stats).unwrap_or_default();
-            obs(&prepared.sql, t0.elapsed(), &stats);
-        }
-        result
+        self.observed(&prepared.sql, start, result)
     }
 
     /// Infer the output schema of a query without running it.

@@ -81,12 +81,12 @@ pub mod prelude {
         RampKind, RenderSpec, SynthesizedPlacement, TransformSpec, ZoomLevelRef,
     };
     pub use kyrix_expr::{as_affine, eval, parse, Compiled, Expr, VarMap};
-    pub use kyrix_lod::{build_pyramid, build_pyramid_sharded, lod_app, LodConfig, LodPyramid};
+    pub use kyrix_lod::{build_pyramid, build_pyramid_on_shards, lod_app, LodConfig, LodPyramid};
     pub use kyrix_parallel::{ParallelDatabase, Partitioner};
     pub use kyrix_render::{save_ppm, Color, Frame, Mark, MarkType};
     pub use kyrix_server::{
-        BoxPolicy, CostModel, DatabaseSnapshot, FetchPlan, KyrixServer, PlanPolicy, PrefetchPolicy,
-        ServerConfig, TileDesign, TileId, Tiling,
+        BoxPolicy, CostModel, FetchPlan, KyrixServer, PlanPolicy, PrefetchPolicy, ServerConfig,
+        SnapshotView, TileDesign, TileId, Tiling,
     };
     pub use kyrix_storage::{
         DataType, Database, IndexKind, Rect, Row, Schema, SpatialCols, TxnDatabase, Value,

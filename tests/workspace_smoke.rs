@@ -102,26 +102,35 @@ fn lod_entry_points() {
     assert_eq!(pyramid.depth(), 3);
     assert!(pyramid.levels[2].rows < pyramid.levels[1].rows);
 
-    // sharded construction reproduces the same level tables
-    let pdb = ParallelDatabase::new(
-        2,
-        "galaxy",
-        Partitioner::Hash {
-            column: "id".into(),
-        },
-    )
-    .unwrap();
-    pdb.create_table("galaxy", kyrix::workload::galaxy_schema())
-        .unwrap();
-    pdb.load("galaxy", kyrix::workload::galaxy_rows(&g))
-        .unwrap();
-    let mut out = Database::new();
-    build_pyramid_sharded(&pdb, &cfg, &mut out).unwrap();
+    // a two-shard construction reproduces the same level tables
+    let part = Partitioner::SpatialGrid {
+        x_column: "x".into(),
+        y_column: "y".into(),
+        cols: 2,
+        rows: 1,
+        width: g.width,
+        height: g.height,
+    };
+    let schema = kyrix::workload::galaxy_schema();
+    let mut shards: Vec<Database> = (0..2)
+        .map(|_| {
+            let mut db = Database::new();
+            db.create_table("galaxy", schema.clone()).unwrap();
+            db
+        })
+        .collect();
+    for row in kyrix::workload::galaxy_rows(&g) {
+        let s = part.route(&schema, &row, 2).unwrap();
+        shards[s].insert("galaxy", row).unwrap();
+    }
+    build_pyramid_on_shards(&mut shards, &part, &cfg).unwrap();
     let q = "SELECT * FROM galaxy_lod1 ORDER BY id";
-    assert_eq!(
-        db.query(q, &[]).unwrap().rows,
-        out.query(q, &[]).unwrap().rows
-    );
+    let mut sharded: Vec<Row> = shards
+        .iter()
+        .flat_map(|s| s.query(q, &[]).unwrap().rows)
+        .collect();
+    sharded.sort_unstable_by_key(|r| r.get(0).as_i64().unwrap());
+    assert_eq!(db.query(q, &[]).unwrap().rows, sharded);
 
     // the generated app serves through the ordinary server + session stack
     let spec = lod_app(&cfg, (512.0, 512.0));
