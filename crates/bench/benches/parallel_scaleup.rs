@@ -6,62 +6,29 @@
 //! queries stay flat because they touch a bounded number of grid cells.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kyrix_bench::ExperimentConfig;
-use kyrix_parallel::{ParallelDatabase, Partitioner};
-use kyrix_storage::{Database, IndexKind, Row, SpatialCols, Value};
+use kyrix_bench::{shard_dots, ExperimentConfig};
+use kyrix_parallel::query_shards;
+use kyrix_storage::{Database, Value};
 use kyrix_workload::load_uniform;
-
-fn build_pdb(cfg: &ExperimentConfig, cols: u32, rows_grid: u32) -> ParallelDatabase {
-    let mut src = Database::new();
-    load_uniform(&mut src, &cfg.dots).expect("load");
-    let schema = src.table("dots").expect("dots").schema.clone();
-    let mut rows: Vec<Row> = Vec::with_capacity(cfg.dots.n);
-    src.table("dots")
-        .expect("dots")
-        .scan(|_, r| rows.push(r))
-        .expect("scan");
-
-    let pdb = ParallelDatabase::new(
-        (cols * rows_grid) as usize,
-        "dots",
-        Partitioner::SpatialGrid {
-            x_column: "x".into(),
-            y_column: "y".into(),
-            cols,
-            rows: rows_grid,
-            width: cfg.dots.width,
-            height: cfg.dots.height,
-        },
-    )
-    .expect("pdb");
-    pdb.create_table("dots", schema).expect("table");
-    pdb.create_index(
-        "dots",
-        "sp",
-        IndexKind::Spatial(SpatialCols::Point {
-            x: "x".into(),
-            y: "y".into(),
-        }),
-    )
-    .expect("index");
-    pdb.load("dots", rows).expect("load");
-    pdb
-}
 
 fn bench_parallel(c: &mut Criterion) {
     let cfg = ExperimentConfig::tiny();
     let grids: &[(u32, u32)] = &[(1, 1), (2, 2), (4, 4)];
+    let mut src = Database::new();
+    load_uniform(&mut src, &cfg.dots).expect("load");
 
     let mut group = c.benchmark_group("parallel_routed_viewport");
     for &(cols, rows_grid) in grids {
-        let pdb = build_pdb(&cfg, cols, rows_grid);
+        let deployment = shard_dots(&src, &cfg.dots, cols, rows_grid);
         let vp = (cfg.viewport.0, cfg.viewport.1);
         group.bench_with_input(
             BenchmarkId::from_parameter(cols * rows_grid),
-            &pdb,
-            |b, pdb| {
+            &deployment,
+            |b, (shards, router)| {
                 b.iter(|| {
-                    pdb.query(
+                    query_shards(
+                        shards,
+                        router,
                         "SELECT COUNT(*) FROM dots WHERE bbox && rect($1, $2, $3, $4)",
                         &[
                             Value::Float(cfg.dots.width / 3.0),
@@ -69,6 +36,7 @@ fn bench_parallel(c: &mut Criterion) {
                             Value::Float(cfg.dots.width / 3.0 + vp.0),
                             Value::Float(cfg.dots.height / 3.0 + vp.1),
                         ],
+                        None,
                     )
                     .expect("routed query")
                 })
@@ -80,14 +48,20 @@ fn bench_parallel(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel_broadcast_aggregate");
     group.sample_size(20);
     for &(cols, rows_grid) in grids {
-        let pdb = build_pdb(&cfg, cols, rows_grid);
+        let deployment = shard_dots(&src, &cfg.dots, cols, rows_grid);
         group.bench_with_input(
             BenchmarkId::from_parameter(cols * rows_grid),
-            &pdb,
-            |b, pdb| {
+            &deployment,
+            |b, (shards, router)| {
                 b.iter(|| {
-                    pdb.query("SELECT AVG(weight), COUNT(*) FROM dots", &[])
-                        .expect("broadcast aggregate")
+                    query_shards(
+                        shards,
+                        router,
+                        "SELECT AVG(weight), COUNT(*) FROM dots",
+                        &[],
+                        None,
+                    )
+                    .expect("broadcast aggregate")
                 })
             },
         );

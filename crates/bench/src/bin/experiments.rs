@@ -16,15 +16,17 @@
 use kyrix_bench::{
     build_database, figure_table, launch_scheme, load_table, paper_traces, run_cell, run_figure,
     run_load_comparison, run_lod_experiment, run_lod_maintenance, run_lod_plan_comparison,
-    run_shard_scaleup, shard_table, span_table, Dataset, ExperimentConfig, LoadConfig, LoadMode,
+    run_shard_scaleup, shard_dots, shard_table, span_table, Dataset, ExperimentConfig, LoadConfig,
+    LoadMode,
 };
 use kyrix_client::{run_trace, Session};
 use kyrix_core::compile;
-use kyrix_parallel::{ParallelDatabase, Partitioner};
+use kyrix_obs::Registry;
+use kyrix_parallel::{query_shards, ShardTelemetry};
 use kyrix_server::{
     BoxPolicy, CostModel, FetchPlan, KyrixServer, PrefetchPolicy, ServerConfig, TileDesign,
 };
-use kyrix_storage::{Database, Row, Value};
+use kyrix_storage::{Database, Value};
 use kyrix_workload::{
     dots_app, index_dots, load_uniform, load_usmap, straight_pan, usmap_app, GalaxyConfig,
     SkewConfig,
@@ -340,43 +342,18 @@ fn parallel(cfg: &ExperimentConfig) {
 
     // one source of truth for the rows
     let src = build_database(Dataset::Skewed(SkewConfig::default()), &cfg.dots);
-    let mut rows: Vec<Row> = Vec::with_capacity(cfg.dots.n);
-    src.table("dots")
-        .expect("dots")
-        .scan(|_, row| rows.push(row))
-        .expect("scan");
-    let schema = src.table("dots").expect("dots").schema.clone();
 
     for (label, cols, grid_rows) in [
         ("1 (1x1)", 1u32, 1u32),
         ("4 (2x2)", 2, 2),
         ("16 (4x4)", 4, 4),
     ] {
-        let shards = (cols * grid_rows) as usize;
-        let pdb = ParallelDatabase::new(
-            shards,
-            "dots",
-            Partitioner::SpatialGrid {
-                x_column: "x".into(),
-                y_column: "y".into(),
-                cols,
-                rows: grid_rows,
-                width: cfg.dots.width,
-                height: cfg.dots.height,
-            },
-        )
-        .expect("pdb");
-        pdb.create_table("dots", schema.clone()).expect("table");
-        pdb.create_index(
-            "dots",
-            "sp",
-            kyrix_storage::IndexKind::Spatial(kyrix_storage::SpatialCols::Point {
-                x: "x".into(),
-                y: "y".into(),
-            }),
-        )
-        .expect("index");
-        pdb.load("dots", rows.clone()).expect("load");
+        let (shards, router) = shard_dots(&src, &cfg.dots, cols, grid_rows);
+        let obs = Arc::new(Registry::new());
+        let telemetry = ShardTelemetry::new(Arc::clone(&obs));
+        let query = |sql: &str, params: &[Value]| {
+            query_shards(&shards, &router, sql, params, Some(&telemetry))
+        };
 
         // routed viewport counts across a diagonal of viewports
         let q_view = "SELECT COUNT(*) FROM dots WHERE bbox && rect($1, $2, $3, $4)";
@@ -385,7 +362,7 @@ fn parallel(cfg: &ExperimentConfig) {
         for i in 0..n_queries {
             let x = (i as f64 / n_queries as f64) * (cfg.dots.width - cfg.viewport.0);
             let y = (i as f64 / n_queries as f64) * (cfg.dots.height - cfg.viewport.1);
-            pdb.query(
+            query(
                 q_view,
                 &[
                     Value::Float(x),
@@ -397,20 +374,21 @@ fn parallel(cfg: &ExperimentConfig) {
             .expect("viewport count");
         }
         let routed_ms = t0.elapsed().as_secs_f64() * 1000.0 / n_queries as f64;
-        let shards_per_query = pdb.stats.shards_touched() as f64 / pdb.stats.queries() as f64;
+        // every shard statement lands in the `fetch.shard` family total
+        let shards_per_query =
+            obs.histogram("fetch.shard").snapshot().count() as f64 / n_queries as f64;
 
         // broadcast aggregate (a coordinated-view rollup); with real cores
         // its latency is bounded by the largest shard's scan
-        let largest = pdb
-            .shard_sizes("dots")
-            .expect("sizes")
-            .into_iter()
+        let largest = shards
+            .iter()
+            .map(|db| db.table("dots").expect("dots").len())
             .max()
             .unwrap_or(0);
         let t0 = Instant::now();
         let agg_runs = 3;
         for _ in 0..agg_runs {
-            pdb.query(
+            query(
                 "SELECT AVG(weight), MIN(weight), MAX(weight), COUNT(*) FROM dots",
                 &[],
             )

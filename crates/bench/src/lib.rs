@@ -33,11 +33,12 @@
 use kyrix_client::{run_trace, Move, Session, TraceReport};
 use kyrix_core::compile;
 use kyrix_lod::{build_pyramid, lod_app, LodConfig, LodPyramid};
+use kyrix_parallel::{load_rows, Partitioner, QueryRouter};
 use kyrix_server::{
     BoxPolicy, CalibrationTrace, CostModel, FetchPlan, KyrixServer, PlanPolicy, PrecomputeReport,
     ServerConfig, TileDesign,
 };
-use kyrix_storage::{Database, Rect};
+use kyrix_storage::{Database, IndexKind, Rect, SpatialCols};
 use kyrix_workload::{
     aligned_start, dots_app, half_tile_offset, index_galaxy, load_skewed, load_uniform,
     load_zipf_galaxy, trace_a, trace_b, trace_c, trace_c_start, zoom_trace, DotsConfig,
@@ -169,6 +170,52 @@ pub fn build_database(dataset: Dataset, cfg: &DotsConfig) -> Database {
         Dataset::Skewed(skew) => load_skewed(&mut db, cfg, &skew).expect("load skewed"),
     };
     db
+}
+
+/// Spread `src`'s `dots` table over a `cols`×`rows` spatial grid of
+/// shards spanning the dataset's canvas (the §4 multi-node layout), each
+/// shard with the same `(x, y)` spatial index. Returns the shards and the
+/// router that sends their queries.
+pub fn shard_dots(
+    src: &Database,
+    cfg: &DotsConfig,
+    cols: u32,
+    rows: u32,
+) -> (Vec<Database>, QueryRouter) {
+    let n = (cols * rows) as usize;
+    let mut router = QueryRouter::new(n).expect("router");
+    router
+        .register(
+            "dots",
+            Partitioner::SpatialGrid {
+                x_column: "x".into(),
+                y_column: "y".into(),
+                cols,
+                rows,
+                width: cfg.width,
+                height: cfg.height,
+            },
+        )
+        .expect("grid partitioner");
+    let table = src.table("dots").expect("dots");
+    let mut shards: Vec<Database> = (0..n).map(|_| Database::new()).collect();
+    for db in &mut shards {
+        db.create_table("dots", table.schema.clone())
+            .expect("table");
+        db.create_index(
+            "dots",
+            "sp",
+            IndexKind::Spatial(SpatialCols::Point {
+                x: "x".into(),
+                y: "y".into(),
+            }),
+        )
+        .expect("index");
+    }
+    let mut all = Vec::with_capacity(table.len());
+    table.scan(|_, row| all.push(row)).expect("scan");
+    load_rows(&mut shards, &router, "dots", all).expect("load");
+    (shards, router)
 }
 
 /// Compile the dots app and launch a server for one scheme.
@@ -973,7 +1020,6 @@ pub fn run_shard_scaleup(
     grids: &[(u32, u32)],
 ) -> Vec<ShardScaleupResult> {
     use kyrix_lod::build_pyramid_on_shards;
-    use kyrix_parallel::Partitioner;
     use kyrix_workload::{galaxy_rows, galaxy_schema};
 
     let lod = galaxy_lod_config(g, levels, spacing);
@@ -996,17 +1042,15 @@ pub fn run_shard_scaleup(
             height: g.height,
         };
         // place the same rows on this grid; only the placement changes
-        let mut shards: Vec<Database> = (0..n)
-            .map(|_| {
-                let mut db = Database::new();
-                db.create_table("galaxy", schema.clone()).expect("table");
-                db
-            })
-            .collect();
-        for row in &rows {
-            let s = part.route(&schema, row, n).expect("route row");
-            shards[s].insert("galaxy", row.clone()).expect("insert");
+        let mut raw_router = QueryRouter::new(n).expect("router");
+        raw_router
+            .register("galaxy", part.clone())
+            .expect("grid partitioner");
+        let mut shards: Vec<Database> = (0..n).map(|_| Database::new()).collect();
+        for db in &mut shards {
+            db.create_table("galaxy", schema.clone()).expect("table");
         }
+        load_rows(&mut shards, &raw_router, "galaxy", rows.clone()).expect("place rows");
         for db in &mut shards {
             index_galaxy(db).expect("index galaxy");
         }

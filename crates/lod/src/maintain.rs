@@ -1381,24 +1381,19 @@ mod tests {
     /// The rows of [`seeded_db`] spread over four grid shards, raw
     /// spatial index included.
     fn seeded_shards(n: i64) -> Vec<Database> {
-        let part = grid_partitioner();
-        let schema = raw_schema();
-        let mut shards: Vec<Database> = (0..4)
-            .map(|_| {
-                let mut db = Database::new();
-                db.create_table("pts", schema.clone()).unwrap();
-                db
-            })
-            .collect();
-        let single = seeded_db(n);
-        single
+        let mut router = QueryRouter::new(4).unwrap();
+        router.register("pts", grid_partitioner()).unwrap();
+        let mut shards: Vec<Database> = (0..4).map(|_| Database::new()).collect();
+        for db in &mut shards {
+            db.create_table("pts", raw_schema()).unwrap();
+        }
+        let mut rows = Vec::new();
+        seeded_db(n)
             .table("pts")
             .unwrap()
-            .scan(|_, row| {
-                let s = part.route(&schema, &row, 4).unwrap();
-                shards[s].insert("pts", row).unwrap();
-            })
+            .scan(|_, row| rows.push(row))
             .unwrap();
+        kyrix_parallel::load_rows(&mut shards, &router, "pts", rows).unwrap();
         for db in &mut shards {
             db.create_index(
                 "pts",

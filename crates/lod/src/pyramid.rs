@@ -8,7 +8,7 @@ use crate::config::LodConfig;
 use crate::error::{LodError, Result};
 use crate::grid::{cell_of, Cell};
 use crate::maintain::{LevelState, MaintainState};
-use kyrix_parallel::{Partitioner, QueryRouter};
+use kyrix_parallel::{load_rows, Partitioner, QueryRouter};
 use kyrix_storage::fxhash::FxHashMap;
 use kyrix_storage::{DataType, Database, IndexKind, Row, Schema, SpatialCols, Value};
 use std::time::{Duration, Instant};
@@ -251,15 +251,17 @@ fn write_level_sharded(
         }
         db.create_table(&table, schema.clone())?;
     }
-    let part = router
-        .partitioner(&table)
-        .expect("level table registered by sharded_router");
+    debug_assert!(
+        router.partitioner(&table).is_some(),
+        "level table registered by sharded_router"
+    );
     let scale = cfg.level_scale(level);
-    for c in clusters {
-        let row = level_row(scale, c);
-        let shard = part.route(&schema, &row, shards.len())?;
-        shards[shard].insert(&table, row)?;
-    }
+    load_rows(
+        shards,
+        router,
+        &table,
+        clusters.iter().map(|c| level_row(scale, c)),
+    )?;
     for db in shards.iter_mut() {
         db.create_index(
             &table,
@@ -530,18 +532,14 @@ mod tests {
     /// One shard database per grid cell of `part`, holding `rows` routed
     /// by it, raw spatial index included.
     fn shard_set(rows: Vec<Row>, part: &Partitioner) -> Vec<Database> {
-        let schema = raw_schema();
-        let mut shards: Vec<Database> = (0..part.shard_count(0))
-            .map(|_| {
-                let mut db = Database::new();
-                db.create_table("pts", schema.clone()).unwrap();
-                db
-            })
-            .collect();
-        for r in rows {
-            let s = part.route(&schema, &r, shards.len()).unwrap();
-            shards[s].insert("pts", r).unwrap();
+        let n = part.shard_count(0);
+        let mut router = QueryRouter::new(n).unwrap();
+        router.register("pts", part.clone()).unwrap();
+        let mut shards: Vec<Database> = (0..n).map(|_| Database::new()).collect();
+        for db in &mut shards {
+            db.create_table("pts", raw_schema()).unwrap();
         }
+        load_rows(&mut shards, &router, "pts", rows).unwrap();
         for db in &mut shards {
             db.create_index(
                 "pts",

@@ -153,7 +153,7 @@ fn sharded_mutations_serve_live_end_to_end() {
     let server = Arc::new(server);
     assert_eq!(server.shard_count(), 4);
     assert_eq!(server.data_version(), 0);
-    assert_eq!(server.database().versions(), &[0, 0, 0, 0]);
+    assert_eq!(server.snapshot().versions(), &[0, 0, 0, 0]);
 
     // a session watches the raw level at the canvas center — right on the
     // 2x2 shard seam — and another watches a far corner
@@ -195,7 +195,7 @@ fn sharded_mutations_serve_live_end_to_end() {
     assert_eq!(report.inserted, 64);
     assert_eq!(server.data_version(), 1);
     assert_eq!(
-        server.database().versions(),
+        server.snapshot().versions(),
         &[1, 1, 1, 1],
         "a seam-straddling blob dirties every shard"
     );
@@ -220,7 +220,7 @@ fn sharded_mutations_serve_live_end_to_end() {
     // conservation across the merged shards, on every clustered level
     for k in 1..=levels {
         let r = server
-            .database()
+            .snapshot()
             .query(&format!("SELECT SUM(cnt) FROM {}", cfg.level_table(k)), &[])
             .unwrap();
         assert_eq!(
@@ -257,7 +257,7 @@ fn sharded_mutations_serve_live_end_to_end() {
         })
         .unwrap();
     assert_eq!(server.data_version(), 2);
-    let versions = server.database().versions().to_vec();
+    let versions = server.snapshot().versions().to_vec();
     assert_eq!(versions.iter().max(), Some(&2));
     assert!(
         versions.iter().filter(|&&v| v == 2).count() < 4,
@@ -285,7 +285,7 @@ fn sharded_mutations_serve_live_end_to_end() {
     let n_final = (g.n - 100) as i64;
     for k in 1..=levels {
         let r = server
-            .database()
+            .snapshot()
             .query(&format!("SELECT SUM(cnt) FROM {}", cfg.level_table(k)), &[])
             .unwrap();
         assert_eq!(
@@ -302,7 +302,7 @@ fn sharded_mutations_serve_live_end_to_end() {
     assert_eq!(pyramid.levels[0].rows, n_final as usize);
     let mut fresh = Database::new();
     fresh.create_table("galaxy", galaxy_schema()).unwrap();
-    let live = server.database();
+    let live = server.snapshot();
     for row in &live.query("SELECT * FROM galaxy", &[]).unwrap().rows {
         fresh.insert("galaxy", row.clone()).unwrap();
     }

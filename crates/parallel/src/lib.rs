@@ -1,15 +1,21 @@
-//! `kyrix-parallel`: a partitioned, scatter-gather execution layer over the
+//! `kyrix-parallel`: partitioned, scatter-gather execution over the
 //! embedded Kyrix engine.
 //!
 //! Paper §4: *"Fifty terabytes will require a parallel multi-node DBMS to
 //! achieve our performance goals."* This crate simulates that multi-node
-//! deployment in-process: a [`ParallelDatabase`] holds N independent shards
-//! (each a full [`kyrix_storage::Database`], standing in for one node),
-//! routes inserts through a [`Partitioner`], and executes queries on all —
-//! or, for spatially routed viewport queries, only the intersecting —
-//! shards on parallel threads, then merges results at a coordinator.
+//! deployment in-process. A deployment is a slice of shard
+//! [`kyrix_storage::Database`]s (each standing in for one node) plus a
+//! [`QueryRouter`] that maps every partitioned table to its
+//! [`Partitioner`]; tables the router does not know are replicated on
+//! every shard. [`load_rows`] places rows by that layout and
+//! [`query_shards`] answers a statement over it: it runs the statement
+//! on only the shards that can hold its rows, in parallel when there are
+//! several, and merges their outputs at a coordinator. `kyrix-server`
+//! serves from this engine (a single-node server is the one-shard case)
+//! and `kyrix-lod` builds and maintains its pyramids on the same layout.
 //!
-//! The merge layer understands the full SQL surface of the engine:
+//! The merge layer ([`merge::ShardPlan`]) understands the full SQL
+//! surface of the engine:
 //!
 //! * plain selects concatenate (with ORDER BY / OFFSET / LIMIT applied at
 //!   the coordinator, and LIMIT pushed down to shards when order allows),
@@ -22,11 +28,11 @@
 //! only touches the grid cells the viewport overlaps, so per-query work
 //! stays constant as the canvas (and shard count) grows.
 
+pub mod engine;
 pub mod merge;
 pub mod partition;
-pub mod pdb;
 pub mod router;
 
+pub use engine::{load_rows, query_shards, ShardTelemetry};
 pub use partition::Partitioner;
-pub use pdb::{ParallelDatabase, ParallelStats};
 pub use router::QueryRouter;

@@ -1,11 +1,10 @@
 //! Table-aware query routing: which shards must a statement touch?
 //!
-//! [`ParallelDatabase`](crate::ParallelDatabase) routes one partitioned
-//! table. A serving tier routes *many* — a raw point table plus every
-//! LoD level table, each with its own [`Partitioner`] — so the routing
-//! logic lives here, keyed by table name, and both the coordinator and
-//! external scatter-gather executors (e.g. `kyrix-server`'s sharded
-//! backend) share it.
+//! A serving tier routes *many* partitioned tables — a raw point table
+//! plus every LoD level table, each with its own [`Partitioner`] — so the
+//! routing table is keyed by table name. The scatter-gather engine
+//! ([`crate::query_shards`]) and row placement ([`crate::load_rows`])
+//! both read it.
 //!
 //! Routing is conservative: a statement over a registered table routes by
 //! the first usable predicate (spatial-rect intersection, partition-key

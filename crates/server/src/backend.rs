@@ -4,15 +4,13 @@
 //! Every fetch primitive in [`crate::fetch`] resolves against a
 //! [`SnapshotView`] — an immutable, versioned read surface. Its one
 //! implementation, [`ShardedSnapshot`], holds N shard databases plus a
-//! [`QueryRouter`]; a single-node server is the N = 1 case. A statement
-//! the router sends to exactly one shard runs there as
-//! [`Database::query`] would run it — routing guarantees the other shards
-//! hold no rows for it. A statement that needs several shards is
-//! decomposed by [`ShardPlan`], executed on each routed shard in parallel
-//! (`shard.scatter` span), and recombined by the coordinator merge
-//! (`shard.merge` span) — the same machinery the sharded LoD build uses
-//! for boundary cells. Either way every shard statement reports to the
-//! storage query observer (`sql.execute`, `sql.rows_scanned`) and to the
+//! [`QueryRouter`]; a single-node server is the N = 1 case. Its queries
+//! run through the workspace's one scatter-gather engine,
+//! [`kyrix_parallel::query_shards`]: a statement the router sends to one
+//! shard runs there unrewritten, a statement that needs several is
+//! scattered (`shard.scatter` span) and merged at the coordinator
+//! (`shard.merge` span). Every shard statement reports to the storage
+//! query observer (`sql.execute`, `sql.rows_scanned`) and to the
 //! per-shard `fetch.shard{i}` histogram family.
 //!
 //! Above the view sits the `ShardedBackend`: the mutable head pointer
@@ -30,14 +28,11 @@
 //! successor pays for the mutated tables only, and old views stay alive
 //! until the last reader drops its `Arc`.
 
-use kyrix_obs::{Gauge, HistogramFamily, Registry};
-use kyrix_parallel::merge::ShardPlan;
-use kyrix_parallel::QueryRouter;
-use kyrix_storage::sql::{parse_statement, Statement};
+use kyrix_obs::Gauge;
+use kyrix_parallel::{query_shards, QueryRouter, ShardTelemetry};
 use kyrix_storage::{Database, QueryResult, Rect, Schema, StorageError, Value};
 use parking_lot::RwLock;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// An immutable, versioned read surface: what a fetch resolves against.
 ///
@@ -95,16 +90,6 @@ fn local_spatial_count(
     Ok(Some(n))
 }
 
-/// Telemetry hooks a [`ShardedSnapshot`] records into (optional so pinned
-/// calibration views stay out of the serving histograms, as the launch
-/// installs its query observer only after tuning).
-#[derive(Clone)]
-pub(crate) struct ShardTelemetry {
-    pub(crate) obs: Arc<Registry>,
-    /// Per-shard execution latency: `fetch.shard{i}` children + total.
-    pub(crate) family: HistogramFamily,
-}
-
 /// An immutable view over N shard databases (one for a single-node
 /// server), queried by routing and, across shards, scatter-gather.
 ///
@@ -115,6 +100,9 @@ pub struct ShardedSnapshot {
     shards: Vec<Database>,
     versions: Vec<u64>,
     router: Arc<QueryRouter>,
+    /// Where queries report (`None` keeps pinned calibration views out of
+    /// the serving histograms: the launch installs telemetry only after
+    /// tuning).
     telemetry: Option<ShardTelemetry>,
     /// Outstanding-snapshot gauge (the server's `snapshot.pinned`:
     /// published head + older views still held by readers); decremented
@@ -175,32 +163,13 @@ impl SnapshotView for ShardedSnapshot {
     }
 
     fn query(&self, sql: &str, params: &[Value]) -> kyrix_storage::Result<QueryResult> {
-        let stmt = parse_statement(sql)?;
-        let (Statement::Select(select) | Statement::Explain(select)) = &stmt else {
-            return Err(StorageError::PlanError(
-                "snapshot views are read-only: SELECT or EXPLAIN only".to_string(),
-            ));
-        };
-        let targets = self.router.targets(select, params);
-        if let [i] = targets[..] {
-            // routed to one shard: the other shards hold no rows for this
-            // statement, so it runs there as-is — no rewrite, no merge
-            return self.run_shard(i, &stmt, sql, params);
-        }
-        if let Statement::Explain(_) = stmt {
-            // every routed shard plans the statement; keep all plan rows
-            let mut results = self.scatter(&targets, &stmt, sql, params)?.into_iter();
-            let mut out = results
-                .next()
-                .ok_or_else(|| StorageError::PlanError("statement routes to no shard".into()))?;
-            out.rows.extend(results.flat_map(|r| r.rows));
-            return Ok(out);
-        }
-        let plan = ShardPlan::new(select)?;
-        let shard_stmt = Statement::Select(plan.shard_stmt.clone());
-        let results = self.scatter(&targets, &shard_stmt, sql, params)?;
-        let _merge = self.telemetry.as_ref().map(|t| t.obs.span("shard.merge"));
-        plan.merge(results, params)
+        query_shards(
+            &self.shards,
+            &self.router,
+            sql,
+            params,
+            self.telemetry.as_ref(),
+        )
     }
 
     fn table_schema(&self, table: &str) -> kyrix_storage::Result<Schema> {
@@ -236,47 +205,6 @@ impl SnapshotView for ShardedSnapshot {
             }
         }
         Ok(Some(total))
-    }
-}
-
-impl ShardedSnapshot {
-    /// Run one shard's statement through the storage entry point, so the
-    /// query observer sees it, and record its latency per shard.
-    fn run_shard(
-        &self,
-        i: usize,
-        stmt: &Statement,
-        sql: &str,
-        params: &[Value],
-    ) -> kyrix_storage::Result<QueryResult> {
-        let start = Instant::now();
-        let result = self.shards[i].query_statement(stmt, sql, params);
-        if let Some(t) = &self.telemetry {
-            t.family.record_duration(&i.to_string(), start.elapsed());
-        }
-        result
-    }
-
-    /// Run `stmt` on every target shard in parallel, results in target
-    /// order.
-    fn scatter(
-        &self,
-        targets: &[usize],
-        stmt: &Statement,
-        sql: &str,
-        params: &[Value],
-    ) -> kyrix_storage::Result<Vec<QueryResult>> {
-        let _scatter = self.telemetry.as_ref().map(|t| t.obs.span("shard.scatter"));
-        std::thread::scope(|s| {
-            let handles: Vec<_> = targets
-                .iter()
-                .map(|&i| s.spawn(move || self.run_shard(i, stmt, sql, params)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard query panicked"))
-                .collect()
-        })
     }
 }
 

@@ -2,7 +2,7 @@
 //! stores produced by precomputation, the backend caches, and the
 //! prefetcher; answers tile and box requests from the frontend.
 
-use crate::backend::{ShardTelemetry, ShardedBackend, SnapshotView};
+use crate::backend::{ShardedBackend, SnapshotView};
 use crate::cache::CacheStats;
 use crate::cache::LruCache;
 use crate::cost::CostModel;
@@ -23,7 +23,7 @@ use crate::tuner::{self, TuningReport};
 use crossbeam::channel::{unbounded, Sender};
 use kyrix_core::CompiledApp;
 use kyrix_obs::{HistogramFamily, Registry};
-use kyrix_parallel::QueryRouter;
+use kyrix_parallel::{QueryRouter, ShardTelemetry};
 use kyrix_storage::fxhash::FxHashMap;
 use kyrix_storage::{Database, Rect, Row, Value};
 use parking_lot::Mutex;
@@ -671,10 +671,7 @@ impl KyrixServer {
             })));
         }
         obs.gauge("snapshot.head_version").set(0);
-        let telemetry = ShardTelemetry {
-            obs: Arc::clone(&obs),
-            family: obs.histogram_family("fetch.shard"),
-        };
+        let telemetry = ShardTelemetry::new(Arc::clone(&obs));
         let backend = ShardedBackend::new(shards, router, telemetry, obs.gauge("snapshot.pinned"))?;
         let region_family = obs.histogram_family("fetch.region.layer");
         let inner = Arc::new(Inner {
@@ -1198,25 +1195,12 @@ impl KyrixServer {
 
     /// The latest published [`SnapshotView`] (a
     /// [`crate::ShardedSnapshot`] over the backend's shards). The returned
-    /// `Arc` is an owned,
-    /// immutable view: hold it as long as you like, concurrent mutations
-    /// publish new views without touching yours. Its
+    /// `Arc` is an owned, immutable view that holds no lock: hold it as
+    /// long as you like, concurrent mutations publish new views without
+    /// touching yours (call again to observe them). Its
     /// [`SnapshotView::versions`] vector says, per shard, which data
     /// version last touched it.
     pub fn snapshot(&self) -> Arc<dyn SnapshotView> {
-        self.inner.snapshot()
-    }
-
-    /// Direct read-only access to the underlying data, as an owned
-    /// snapshot view (query it with [`SnapshotView::query`]).
-    ///
-    /// This used to return a `parking_lot` read guard, which made
-    /// `server.mutate_raw(..)` while holding the guard a silent
-    /// self-deadlock (the lock is not reentrant). The returned view
-    /// holds no lock at all, so that hazard is gone by construction — but
-    /// note it is *pinned*: it does not observe mutations published after
-    /// this call. Call again for a fresh view.
-    pub fn database(&self) -> Arc<dyn SnapshotView> {
         self.inner.snapshot()
     }
 

@@ -121,7 +121,7 @@ proptest! {
         let region = server.fetch_region("main", 0, &vp).unwrap();
         // compare against one direct spatial query over the same covered
         // (tile-aligned) area
-        let (direct, _) = fetch_rect(&*server.database(), &store, &region.rect).unwrap();
+        let (direct, _) = fetch_rect(&*server.snapshot(), &store, &region.rect).unwrap();
 
         let got = content_multiset(&region.rows, width);
         let want = content_multiset(&direct, width);

@@ -123,7 +123,7 @@ fn dbox_uses_separable_skip_when_raw_index_exists() {
         LayerStore::SeparableRaw { .. }
     ));
     // no side table was created
-    assert!(!server.database().has_table("k_grid_main_l0"));
+    assert!(!server.snapshot().has_table("k_grid_main_l0"));
     let vp = Rect::new(10.0, 10.0, 14.0, 14.0);
     let resp = server.fetch_box("main", 0, &vp).unwrap();
     assert_eq!(row_ids(&resp.rows).len(), 25);
@@ -179,7 +179,7 @@ fn non_separable_placement_materializes_side_table() {
         server.store("main", 0).unwrap(),
         LayerStore::Spatial { .. }
     ));
-    assert!(server.database().has_table("k_grid_main_l0"));
+    assert!(server.snapshot().has_table("k_grid_main_l0"));
     // x in [0,100) -> canvas cx in [0, 100); query a band
     let resp = server
         .fetch_box("main", 0, &Rect::new(0.0, 0.0, 30.0, 0.0))
@@ -416,7 +416,7 @@ fn mapping_tables_created_with_expected_names() {
             design: TileDesign::TupleTileMapping,
         },
     );
-    let db = server.database();
+    let db = server.snapshot();
     assert!(db.has_table("k_grid_main_l0"));
     assert!(db.has_table("k_grid_main_l0_map10"));
     // record table has dots + 7 layout columns
@@ -1075,10 +1075,10 @@ fn tuner_drops_losing_mapping_tables() {
     assert_eq!(server.plan_for("detail", 0).unwrap(), MIXED_BOXES);
     // the losing candidates' mapping tables were reclaimed; the shared
     // record tables stay — the winning box stores serve from them
-    assert!(!server.database().has_table("k_mixed_overview_l0_map10"));
-    assert!(!server.database().has_table("k_mixed_detail_l0_map10"));
-    assert!(server.database().has_table("k_mixed_overview_l0"));
-    assert!(server.database().has_table("k_mixed_detail_l0"));
+    assert!(!server.snapshot().has_table("k_mixed_overview_l0_map10"));
+    assert!(!server.snapshot().has_table("k_mixed_detail_l0_map10"));
+    assert!(server.snapshot().has_table("k_mixed_overview_l0"));
+    assert!(server.snapshot().has_table("k_mixed_detail_l0"));
     server
         .fetch_box("detail", 0, &Rect::new(40.0, 40.0, 50.0, 50.0))
         .unwrap();
@@ -1246,7 +1246,7 @@ fn mutate_raw_refuses_mapping_backed_tables_before_applying() {
         LayerStore::TileMapping { record_table, .. } => record_table,
         other => panic!("expected a mapping store, got {other:?}"),
     };
-    let rows_before = server.database().table_len(&record_table).unwrap();
+    let rows_before = server.snapshot().table_len(&record_table).unwrap();
     let result = server.mutate_raw(&[record_table.as_str()], |db| {
         db.delete_where(&record_table, "tuple_id >= $1", &[Value::Int(0)])
             .map_err(kyrix_server::ServerError::from)?;
@@ -1254,7 +1254,7 @@ fn mutate_raw_refuses_mapping_backed_tables_before_applying() {
     });
     assert!(result.is_err(), "mapping-backed mutation must be refused");
     assert_eq!(
-        server.database().table_len(&record_table).unwrap(),
+        server.snapshot().table_len(&record_table).unwrap(),
         rows_before,
         "the closure must never have run"
     );
@@ -1275,7 +1275,7 @@ fn failed_mutation_closure_aborts_atomically() {
             design: TileDesign::SpatialIndex,
         },
     );
-    let rows_before = server.database().table_len("dots").unwrap();
+    let rows_before = server.snapshot().table_len("dots").unwrap();
     let tile = TileId::new(3, 3);
     server.fetch_tile("main", 0, tile).unwrap(); // warm a far-away tile
     let result: Result<(), _> = server.mutate_raw(&["dots"], |db| {
@@ -1289,7 +1289,7 @@ fn failed_mutation_closure_aborts_atomically() {
     assert!(result.is_err());
     assert_eq!(server.data_version(), 0, "aborted mutations never bump");
     assert_eq!(
-        server.database().table_len("dots").unwrap(),
+        server.snapshot().table_len("dots").unwrap(),
         rows_before,
         "the partial delete must not be visible"
     );

@@ -14,8 +14,10 @@
 //! cargo run --example parallel_eeg --release
 //! ```
 
+use kyrix::obs::Registry;
 use kyrix::prelude::*;
 use kyrix::workload::{load_eeg, EegConfig};
+use std::sync::Arc;
 
 fn main() {
     // ---- 1. synthesize the recording on a staging node -------------------
@@ -32,39 +34,49 @@ fn main() {
     // the `t` column is the sample index (one canvas pixel per sample)
     let total_time = cfg.samples as f64;
     let bounds: Vec<f64> = (1..4).map(|i| total_time * i as f64 / 4.0).collect();
-    let pdb = ParallelDatabase::new(
-        4,
-        "eeg",
-        Partitioner::Range {
-            column: "t".into(),
-            bounds,
-        },
-    )
-    .expect("parallel database");
+    let mut router = QueryRouter::new(4).expect("router");
+    router
+        .register(
+            "eeg",
+            Partitioner::Range {
+                column: "t".into(),
+                bounds,
+            },
+        )
+        .expect("range partitioner");
 
     let schema = staging.table("eeg").expect("eeg").schema.clone();
-    pdb.create_table("eeg", schema).expect("table");
+    let mut nodes: Vec<Database> = (0..4).map(|_| Database::new()).collect();
+    for node in &mut nodes {
+        node.create_table("eeg", schema.clone()).expect("table");
+    }
     let mut rows = Vec::with_capacity(n_samples);
     staging
         .table("eeg")
         .expect("eeg")
         .scan(|_, r| rows.push(r))
         .expect("scan");
-    pdb.load("eeg", rows).expect("load");
-    println!(
-        "partitioned over 4 nodes by time: {:?} rows/node",
-        pdb.shard_sizes("eeg").expect("sizes")
-    );
+    load_rows(&mut nodes, &router, "eeg", rows).expect("load");
+    let sizes: Vec<usize> = nodes
+        .iter()
+        .map(|node| node.table("eeg").expect("eeg").len())
+        .collect();
+    println!("partitioned over 4 nodes by time: {sizes:?} rows/node");
+
+    // the coordinator reports every node statement and every fan-out
+    let obs = Arc::new(Registry::new());
+    let telemetry = ShardTelemetry::new(Arc::clone(&obs));
+    let query =
+        |sql: &str, params: &[Value]| query_shards(&nodes, &router, sql, params, Some(&telemetry));
 
     // ---- 3. temporal-view window queries route to owning nodes ----------
     let window = 8.0 * cfg.sample_rate; // 8 seconds of samples on screen
     for start in [0.0, total_time * 0.4, total_time * 0.8] {
-        let r = pdb
-            .query(
-                "SELECT COUNT(*) FROM eeg WHERE t BETWEEN $1 AND $2 AND channel = 0",
-                &[Value::Float(start), Value::Float(start + window)],
-            )
-            .expect("window query");
+        let r = query(
+            "SELECT COUNT(*) FROM eeg WHERE t BETWEEN $1 AND $2 AND channel = 0",
+            &[Value::Float(start), Value::Float(start + window)],
+        )
+        .expect("window query");
         let count = match r.rows[0].get(0) {
             Value::Int(n) => *n,
             other => panic!("unexpected {other:?}"),
@@ -77,13 +89,12 @@ fn main() {
     }
 
     // ---- 4. spectral rollup: per-channel amplitude statistics -----------
-    let r = pdb
-        .query(
-            "SELECT channel, COUNT(*) AS n, AVG(amplitude), MIN(amplitude), MAX(amplitude) \
-             FROM eeg GROUP BY channel ORDER BY channel",
-            &[],
-        )
-        .expect("rollup");
+    let r = query(
+        "SELECT channel, COUNT(*) AS n, AVG(amplitude), MIN(amplitude), MAX(amplitude) \
+         FROM eeg GROUP BY channel ORDER BY channel",
+        &[],
+    )
+    .expect("rollup");
     println!("\nper-channel rollup (recombined from 4 nodes):");
     println!("channel |     n |      avg |      min |      max");
     for row in &r.rows {
@@ -98,10 +109,11 @@ fn main() {
     }
 
     // ---- 5. coordinator statistics ---------------------------------------
+    let queries = 4; // three windows + one rollup
+    let count = |name: &str| obs.histogram(name).snapshot().count();
     println!(
-        "\ncoordinator: {} queries, {:.1} nodes touched per query, {} full broadcasts",
-        pdb.stats.queries(),
-        pdb.stats.shards_touched() as f64 / pdb.stats.queries() as f64,
-        pdb.stats.broadcasts()
+        "\ncoordinator: {queries} queries, {:.1} nodes touched per query, {} scattered to several nodes",
+        count("fetch.shard") as f64 / queries as f64,
+        count("span.shard.scatter"),
     );
 }

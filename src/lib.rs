@@ -10,6 +10,7 @@
 //! | module | crate | role |
 //! |---|---|---|
 //! | [`storage`] | `kyrix-storage` | embedded DBMS: heap tables, B+tree / hash / R-tree indexes, SQL with aggregates/DML, transactions + WAL |
+//! | [`obs`] | `kyrix-obs` | telemetry: counters, gauges, latency histograms, spans |
 //! | [`parallel`] | `kyrix-parallel` | partitioned scatter-gather execution (§4 multi-node) |
 //! | [`expr`] | `kyrix-expr` | the declarative expression language (placements, selectors, encodings) |
 //! | [`core`] | `kyrix-core` | canvases, layers, jumps + the spec compiler + placement-by-example (§4) |
@@ -63,6 +64,7 @@ pub use kyrix_client as client;
 pub use kyrix_core as core;
 pub use kyrix_expr as expr;
 pub use kyrix_lod as lod;
+pub use kyrix_obs as obs;
 pub use kyrix_parallel as parallel;
 pub use kyrix_render as render;
 pub use kyrix_server as server;
@@ -82,7 +84,7 @@ pub mod prelude {
     };
     pub use kyrix_expr::{as_affine, eval, parse, Compiled, Expr, VarMap};
     pub use kyrix_lod::{build_pyramid, build_pyramid_on_shards, lod_app, LodConfig, LodPyramid};
-    pub use kyrix_parallel::{ParallelDatabase, Partitioner};
+    pub use kyrix_parallel::{load_rows, query_shards, Partitioner, QueryRouter, ShardTelemetry};
     pub use kyrix_render::{save_ppm, Color, Frame, Mark, MarkType};
     pub use kyrix_server::{
         BoxPolicy, CostModel, FetchPlan, KyrixServer, PlanPolicy, PrefetchPolicy, ServerConfig,

@@ -135,21 +135,25 @@ fn txn_edits_flow_into_parallel_analytics() {
     });
     assert_eq!(shipped.len(), 1_200, "the aborted wipe must not survive");
 
-    let pdb = ParallelDatabase::new(
-        4,
-        "cities",
-        Partitioner::Hash {
-            column: "id".into(),
-        },
-    )
-    .unwrap();
-    pdb.create_table("cities", schema).unwrap();
-    pdb.load("cities", shipped).unwrap();
+    let mut router = QueryRouter::new(4).unwrap();
+    router
+        .register(
+            "cities",
+            Partitioner::Hash {
+                column: "id".into(),
+            },
+        )
+        .unwrap();
+    let mut shards: Vec<Database> = (0..4).map(|_| Database::new()).collect();
+    for db in &mut shards {
+        db.create_table("cities", schema.clone()).unwrap();
+    }
+    load_rows(&mut shards, &router, "cities", shipped).unwrap();
 
     // the committed boost is visible in parallel aggregates and matches
     // the single-node answer
     let q = "SELECT COUNT(*) AS n, MAX(pop) FROM cities WHERE lng < -120";
-    let par = pdb.query(q, &[]).unwrap();
+    let par = query_shards(&shards, &router, q, &[], None).unwrap();
     let seq = recovered.query(q, &[]).unwrap();
     assert_eq!(par.rows, seq.rows);
     assert_eq!(par.rows[0].get(0), &Value::Int(boosted as i64));

@@ -55,30 +55,44 @@ fn expr_entry_points() {
     assert_eq!(aff.apply(3.0), 7.0);
 }
 
-/// kyrix-parallel: partitioned database answers like a single node.
+/// kyrix-parallel: rows placed on hash-partitioned shards answer like a
+/// single node through the scatter-gather engine.
 #[test]
 fn parallel_entry_points() {
-    let pdb = ParallelDatabase::new(
-        2,
-        "t",
-        Partitioner::Hash {
-            column: "id".into(),
-        },
-    )
-    .unwrap();
-    pdb.create_table(
-        "t",
-        Schema::empty()
-            .with("id", DataType::Int)
-            .with("v", DataType::Int),
-    )
-    .unwrap();
-    for i in 0..10 {
-        pdb.insert("t", Row::new(vec![Value::Int(i), Value::Int(i * 2)]))
-            .unwrap();
+    let mut router = QueryRouter::new(2).unwrap();
+    router
+        .register(
+            "t",
+            Partitioner::Hash {
+                column: "id".into(),
+            },
+        )
+        .unwrap();
+    let mut shards: Vec<Database> = (0..2).map(|_| Database::new()).collect();
+    for db in &mut shards {
+        db.create_table(
+            "t",
+            Schema::empty()
+                .with("id", DataType::Int)
+                .with("v", DataType::Int),
+        )
+        .unwrap();
     }
-    let r = pdb.query("SELECT SUM(v) FROM t", &[]).unwrap();
+    let rows = (0..10).map(|i| Row::new(vec![Value::Int(i), Value::Int(i * 2)]));
+    load_rows(&mut shards, &router, "t", rows).unwrap();
+    let obs = Arc::new(kyrix::obs::Registry::new());
+    let telemetry = ShardTelemetry::new(Arc::clone(&obs));
+    let r = query_shards(
+        &shards,
+        &router,
+        "SELECT SUM(v) FROM t",
+        &[],
+        Some(&telemetry),
+    )
+    .unwrap();
     assert_eq!(r.rows[0].get(0), &Value::Int(90));
+    // the unrouted sum ran once on each shard
+    assert_eq!(obs.histogram("fetch.shard").snapshot().count(), 2);
 }
 
 /// kyrix-lod: build a cluster pyramid over the galaxy workload, generate
@@ -148,7 +162,7 @@ fn lod_entry_points() {
     assert_eq!(session.canvas_id(), "level2");
     assert!(first.visible_rows > 0);
     let row = server
-        .database()
+        .snapshot()
         .query("SELECT * FROM galaxy_lod2 LIMIT 1", &[])
         .unwrap()
         .rows[0]
